@@ -204,7 +204,13 @@ func (st *Store) RankDurable(epoch, rank int) bool {
 // corrupted or lost epochs. skipped counts the durable snapshots rejected on
 // the way; (0, nil, skipped) means the rank must restart from scratch.
 func (st *Store) LatestRankDurable(rank int) (epoch int, s *Snapshot, skipped int) {
-	for e := st.maxEpoch; e > 0; e-- {
+	return st.RankDurableBefore(rank, st.maxEpoch+1)
+}
+
+// RankDurableBefore is LatestRankDurable restricted to epochs older than
+// before: the next restart candidate behind one the caller has ruled out.
+func (st *Store) RankDurableBefore(rank, before int) (epoch int, s *Snapshot, skipped int) {
+	for e := before - 1; e > 0; e-- {
 		if !st.RankDurable(e, rank) {
 			continue
 		}

@@ -530,6 +530,7 @@ func (c *Controller) takeSnapshot() (*blcr.Snapshot, error) {
 		fp = c.incrementalSize(fp)
 	}
 	c.lastCkptAt = c.co.k.Now()
+	c.rank.MarkCheckpoint(c.epoch + 1)
 	return blcr.New(c.rank.World(), c.epoch+1, c.co.k.Now(), fp, app, lib), nil
 }
 
@@ -755,11 +756,14 @@ func (c *Controller) uncoordSafePoint(e *mpi.Env) {
 }
 
 // markRankDurable records the per-rank commit of the uncoordinated protocol:
-// the snapshot is a restart candidate as soon as its own write completed.
+// the snapshot is a restart candidate as soon as its own write completed, so
+// the rank's senders may drop the log entries it covers.
 func (c *Controller) markRankDurable(snap *blcr.Snapshot) {
 	if err := c.co.snaps.SetRankDurable(snap.Epoch, snap.Rank); err != nil {
 		c.co.k.Fail(err)
+		return
 	}
+	c.rank.CommitCheckpoint(snap.Epoch)
 }
 
 // uncoordFinishedRank checkpoints a finished rank under the uncoordinated

@@ -382,7 +382,9 @@ func (co *Coordinator) startTurn(turn int) {
 // commit point of the two-phase protocol. Under a storage hierarchy the
 // commit additionally gates on replication degree — every rank's image must
 // hold its full copy set at some tier — but never on the central drain,
-// which continues in the background.
+// which continues in the background. Under message logging the commit is
+// also the log garbage-collection point: a blocking restart line is flushed
+// and never replays, so every sender may drop what the epoch covers.
 func (co *Coordinator) markComplete(epoch int) {
 	if co.tiers != nil {
 		if err := co.tiers.CheckCommit(epoch); err != nil {
@@ -392,6 +394,12 @@ func (co *Coordinator) markComplete(epoch int) {
 	}
 	if err := co.snaps.MarkComplete(epoch); err != nil {
 		co.k.Fail(err)
+		return
+	}
+	if co.job.Config().LogMessages {
+		for i := 0; i < co.job.Size(); i++ {
+			co.job.Rank(i).CommitCheckpoint(epoch)
+		}
 	}
 }
 

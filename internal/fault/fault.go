@@ -142,9 +142,22 @@ func (f Fault) String() string {
 	return s
 }
 
-// validate rejects nonsensical fault descriptions at parse/build time so an
-// injector never has to guess at run time.
+// validate rejects nonsensical fault descriptions at parse time so an
+// injector never has to guess at run time. That includes fields the kind
+// does not use (a crash with a duration, a timed corruption): String could
+// not render them, so the spec would not round-trip.
 func (f Fault) validate() error {
+	window := f.Kind == StorageOutage || f.Kind == BurstBufferOutage
+	switch {
+	case f.Kind == SnapshotCorrupt && f.At != 0:
+		return errors.New("corrupt fires when its epoch commits; it takes no time (@dur)")
+	case !window && f.Duration != 0:
+		return fmt.Errorf("%v takes no duration (+dur)", f.Kind)
+	case !window && f.Factor != 0:
+		return fmt.Errorf("%v takes no factor", f.Kind)
+	case f.Kind != CMDrop && f.Kind != NodeMemoryLoss && f.Count != 0:
+		return fmt.Errorf("%v takes no count", f.Kind)
+	}
 	switch f.Kind {
 	case RankCrash:
 		if f.Phase == "" && f.At <= 0 {
@@ -159,7 +172,7 @@ func (f Fault) validate() error {
 		if f.At < 0 || f.Duration <= 0 {
 			return errors.New("outage needs a time and a positive duration (@dur+dur)")
 		}
-		if f.Factor < 0 || f.Factor >= 1 {
+		if !(f.Factor >= 0 && f.Factor < 1) {
 			return fmt.Errorf("outage factor %g outside [0, 1)", f.Factor)
 		}
 	case CMDrop:
@@ -168,8 +181,8 @@ func (f Fault) validate() error {
 		default:
 			return fmt.Errorf("unknown cmdrop type %q (want REQ, REP, RTU, DISC, or FLUSH)", f.CMType)
 		}
-		if f.Count < 0 {
-			return fmt.Errorf("cmdrop count %d is negative", f.Count)
+		if f.Count < 1 {
+			return fmt.Errorf("cmdrop count %d is not positive", f.Count)
 		}
 	case SnapshotCorrupt:
 		if f.Epoch <= 0 {
@@ -185,8 +198,8 @@ func (f Fault) validate() error {
 		if f.Phase != "" {
 			return errors.New("memloss fires at a time, not a phase")
 		}
-		if f.Count < 0 {
-			return fmt.Errorf("memloss count %d is negative", f.Count)
+		if f.Count < 1 {
+			return fmt.Errorf("memloss count %d is not positive", f.Count)
 		}
 	default:
 		return fmt.Errorf("unknown fault kind %v", f.Kind)

@@ -98,6 +98,16 @@ func TestParseErrors(t *testing.T) {
 		"memloss@5s:phase=write",    // memloss fires at a time, not a phase
 		"bboutage@5s",               // no window length
 		"bboutage@5s+2s:factor=1.5", // factor out of range
+		"outage@1s+1s:factor=NaN",   // factor not a number
+		"mtbf=-5s",                  // negative mtbf
+		"crash@1s:rank=-2",          // rank below "any"
+		"crash@1s:epoch=-1",         // negative epoch
+		"cmdrop:count=0",            // count not positive
+		"memloss@5s:count=0",        // count not positive
+		"crash@1s:count=2",          // crash takes no count
+		"crash@1s:factor=0.5",       // crash takes no factor
+		"crash@1s+2s",               // crash takes no duration
+		"corrupt@5s:epoch=1,rank=0", // corrupt takes no time
 	} {
 		if _, err := Parse(spec); err == nil {
 			t.Errorf("Parse(%q) accepted", spec)
@@ -138,4 +148,44 @@ func TestCMTypeMatches(t *testing.T) {
 			t.Errorf("cmTypeMatches(%q, %q) = %v, want %v", c.want, c.kind, got, c.match)
 		}
 	}
+}
+
+// FuzzScenarioParse: Parse never panics, and every spec it accepts
+// round-trips through String to the same scenario.
+func FuzzScenarioParse(f *testing.F) {
+	for _, seed := range []string{
+		"crash@12s",
+		"crash:phase=write,epoch=1,rank=3",
+		"outage@20s+5s",
+		"degrade@20s+5s:factor=0.25",
+		"cmdrop@3s:type=REQ,count=2",
+		"corrupt:epoch=1,rank=0",
+		"memloss@17s:rank=0,count=2",
+		"bboutage@20s+5s",
+		"mtbf=90s;seed=7",
+		"crash@1s; outage@2s+1s ;seed=-3",
+		"mtbf=-5s",
+		"crash@1s:rank=-2",
+		"cmdrop:count=0",
+		"outage@1s+1s:factor=NaN",
+		"corrupt@5s:epoch=1,rank=0",
+		"crash@1s+2s",
+		"",
+		";;",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		scn, err := Parse(spec)
+		if err != nil {
+			return
+		}
+		again, err := Parse(scn.String())
+		if err != nil {
+			t.Fatalf("Parse(%q) ok, but its rendering %q does not parse: %v", spec, scn.String(), err)
+		}
+		if !reflect.DeepEqual(scn, again) {
+			t.Fatalf("Parse(%q) = %#v, but its rendering %q parses to %#v", spec, scn, scn.String(), again)
+		}
+	})
 }

@@ -90,7 +90,8 @@ func (s Scenario) CheckPhases(allowed []string) error {
 // multi-tier storage hierarchy: the former is a crash that also destroys the
 // RAM-tier copies of count consecutive nodes, the latter an availability
 // window on the burst-buffer tier. Keys: rank, phase, epoch, factor, type,
-// count. Examples:
+// count. A time, window, factor or count on a kind that does not use it is
+// an error, so every accepted spec round-trips through String. Examples:
 //
 //	crash@12s
 //	crash:phase=write,epoch=1,rank=3
@@ -113,6 +114,9 @@ func Parse(spec string) (Scenario, error) {
 			d, err := time.ParseDuration(strings.TrimPrefix(seg, "mtbf="))
 			if err != nil {
 				return Scenario{}, fmt.Errorf("fault: bad mtbf in %q: %w", seg, err)
+			}
+			if d < 0 {
+				return Scenario{}, fmt.Errorf("fault: negative mtbf in %q", seg)
 			}
 			scn.MTBF = sim.Time(d)
 		case strings.HasPrefix(seg, "seed="):
@@ -193,7 +197,7 @@ func applyOpt(f *Fault, key, val string) error {
 	switch key {
 	case "rank":
 		n, err := strconv.Atoi(val)
-		if err != nil {
+		if err != nil || n < -1 {
 			return fmt.Errorf("bad rank %q", val)
 		}
 		f.Rank = n
@@ -201,7 +205,7 @@ func applyOpt(f *Fault, key, val string) error {
 		f.Phase = val
 	case "epoch":
 		n, err := strconv.Atoi(val)
-		if err != nil {
+		if err != nil || n < 0 {
 			return fmt.Errorf("bad epoch %q", val)
 		}
 		f.Epoch = n

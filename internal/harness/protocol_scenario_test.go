@@ -269,3 +269,77 @@ func TestValidateRejectsUncoordWithoutLogging(t *testing.T) {
 		t.Fatal("whole-job protocol with a partial group size passed Validate")
 	}
 }
+
+// skewedRingCheck asserts the final ring sums of a skewedRing run.
+func skewedRingCheck(t *testing.T, res AvailabilityResult, n, iters int) {
+	t.Helper()
+	inst := res.FinalInst.(skewedInstance)
+	for me := 0; me < n; me++ {
+		if want := workload.ExpectedRingSum(n, iters, me); inst.Sums[me] != want {
+			t.Fatalf("rank %d: sum %d, want %d", me, inst.Sums[me], want)
+		}
+	}
+}
+
+// TestScenarioUncoordCorruptionRollsBackSender corrupts a receiver's newest
+// durable snapshot and then crashes while the receiver is still writing its
+// next one. Rank 1 falls back two checkpoints, to epoch 1, but its sender
+// (rank 0, already durable at epoch 3) trimmed its log against rank 1's
+// epoch-2 watermark. Replay cannot bridge that gap, so the restart line must
+// roll rank 0 back to its epoch-2 snapshot, whose log still holds what rank 1
+// needs, and the results must match the failure-free run.
+func TestScenarioUncoordCorruptionRollsBackSender(t *testing.T) {
+	const n = 4
+	const iters = 200
+	cfg := protocolCluster(n, protocol.Uncoordinated)
+	w := skewedRing{workload.Ring{N: n, Iters: iters, Chunk: 20 * sim.Millisecond, FootprintMB: 5}}
+	// Cycles start at 0.5s, 2.12s and 3.74s; rank 0 (5MB) is durable 0.2s
+	// after each start, rank 1 (20MB) 0.65s after. At 4.1s rank 0 holds
+	// epoch 3 and rank 1's newest, epoch 2, is corrupt.
+	scn := mustParse(t, "corrupt:epoch=2,rank=1;crash@4100ms")
+	res, err := RunScenario(cfg, w, scn, 500*sim.Millisecond, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Failures != 1 || res.CorruptSkipped != 1 {
+		t.Fatalf("failures = %d, corrupt skipped = %d; want 1 and 1", res.Failures, res.CorruptSkipped)
+	}
+	if res.RolledBack != 1 {
+		t.Fatalf("rolled back %d senders, want 1 (rank 0 behind rank 1's trimmed watermark)", res.RolledBack)
+	}
+	if res.Replayed == 0 {
+		t.Fatal("restart replayed nothing; rank 1's fallback was not bridged by the log")
+	}
+	skewedRingCheck(t, res, n, iters)
+}
+
+// TestScenarioUncoordCarryOverAcrossAttempts crashes twice: at 3.5s, when
+// every rank is durable at epoch 2, and again during the second attempt's
+// first write, when only the fast rank 0 has a new snapshot. The senders of
+// the second attempt trimmed their logs against the states the ranks were
+// restored from, so ranks 1-3 must resume from those carried-over states
+// (and pay their read-back) rather than from scratch.
+func TestScenarioUncoordCarryOverAcrossAttempts(t *testing.T) {
+	const n = 4
+	const iters = 200
+	cfg := protocolCluster(n, protocol.Uncoordinated)
+	w := skewedRing{workload.Ring{N: n, Iters: iters, Chunk: 20 * sim.Millisecond, FootprintMB: 5}}
+	scn := mustParse(t, "crash@3500ms;crash@5500ms")
+	res, err := RunScenario(cfg, w, scn, 500*sim.Millisecond, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Failures != 2 {
+		t.Fatalf("failures = %d, want 2", res.Failures)
+	}
+	if res.RecoveredCentral != 2*n {
+		t.Fatalf("read back %d snapshots, want %d: every rank restores at both restarts", res.RecoveredCentral, 2*n)
+	}
+	if res.RolledBack != 0 {
+		t.Fatalf("rolled back %d senders; carry-over alone keeps the line consistent", res.RolledBack)
+	}
+	if res.Replayed == 0 {
+		t.Fatal("second restart replayed nothing; its recovery line was not mixed")
+	}
+	skewedRingCheck(t, res, n, iters)
+}

@@ -5,8 +5,10 @@ import (
 	"fmt"
 	"math/rand"
 
+	"gbcr/internal/blcr"
 	"gbcr/internal/cr"
 	"gbcr/internal/fault"
+	"gbcr/internal/mpi"
 	"gbcr/internal/obs"
 	"gbcr/internal/sim"
 	"gbcr/internal/storage"
@@ -37,6 +39,11 @@ type AvailabilityResult struct {
 	// Replayed counts logged messages re-injected at restart time (always
 	// zero for protocols without sender-based message logging).
 	Replayed int
+	// RolledBack counts restart-line rollbacks forced by log garbage
+	// collection: a sender stepped back behind its newest usable snapshot
+	// because a receiver's fallback (past corruption) needed log entries
+	// the sender had already trimmed.
+	RolledBack int
 	// Attempts is the number of launches (Failures + 1 when the job
 	// finished).
 	Attempts int
@@ -91,8 +98,10 @@ func RunScenario(cfg ClusterConfig, w workload.Restartable, scn fault.Scenario,
 	inj := fault.NewInjector(scn, bus)
 
 	var res AvailabilityResult
-	var appStates [][]byte // nil on the first attempt
-	var libStates [][]byte
+	// restored is the recovery line the current attempt resumed from: one
+	// snapshot per rank, nil for a rank that started from scratch (and a nil
+	// slice on the first attempt).
+	var restored []*blcr.Snapshot
 	const maxAttempts = 1000
 	for attempt := 0; attempt < maxAttempts; attempt++ {
 		res.Attempts++
@@ -104,6 +113,15 @@ func RunScenario(cfg ClusterConfig, w workload.Restartable, scn fault.Scenario,
 		if bus != nil {
 			c.AttachObs(bus)
 		}
+		var appStates [][]byte
+		if restored != nil {
+			appStates = make([][]byte, cfg.N)
+			for i, s := range restored {
+				if s != nil {
+					appStates[i] = s.AppState
+				}
+			}
+		}
 		inst, err := w.LaunchFrom(c.Job, appStates)
 		if err != nil {
 			return res, err
@@ -114,20 +132,24 @@ func RunScenario(cfg ClusterConfig, w workload.Restartable, scn fault.Scenario,
 		}
 		for i := 0; i < cfg.N; i++ {
 			i := i
-			if libStates != nil {
-				if err := c.Job.Rank(i).RestoreLibState(libStates[i]); err != nil {
+			if restored != nil && restored[i] != nil {
+				if err := c.Job.Rank(i).RestoreLibState(restored[i].LibState); err != nil {
 					return res, err
 				}
 			}
 			c.Coord.Controller(i).CaptureFn = func() ([]byte, error) { return ri.Capture(i) }
 			c.Coord.Controller(i).FootprintFn = func() int64 { return inst.Footprint(i) }
 		}
-		if libStates != nil {
+		if restored != nil {
 			// Message-logging restart: replay logged messages the restored
 			// receivers had not yet incorporated (a no-op without logs). This
 			// is what reconciles a recovery line whose ranks resumed from
 			// different epochs.
-			res.Replayed += c.Job.ReplayLogs()
+			n, err := c.Job.ReplayLogs()
+			if err != nil {
+				return res, fmt.Errorf("harness: attempt %d: %w", res.Attempts, err)
+			}
+			res.Replayed += n
 		}
 		inj.Arm(fault.Target{K: c.K, Storage: c.Storage, Fabric: c.Fabric, Coord: c.Coord, Tiers: c.Tiers}, offset)
 		// Periodic checkpoints: the next request is scheduled when the
@@ -171,11 +193,16 @@ func RunScenario(cfg ClusterConfig, w workload.Restartable, scn fault.Scenario,
 		// (possibly mixed-epoch) recovery line for the uncoordinated one.
 		res.Wall += c.K.Now()
 		res.Failures++
-		line := c.Coord.Protocol().RestartLine(c.Coord.Snapshots())
+		store := c.Coord.Snapshots()
+		line := c.Coord.Protocol().RestartLine(store)
 		res.CorruptSkipped += line.Skipped
-		if !line.Empty() {
-			appStates = make([][]byte, cfg.N)
-			libStates = make([][]byte, cfg.N)
+		if !line.Empty() || restored != nil {
+			next, rolled, err := consistentLine(store, line.Snaps, restored)
+			if err != nil {
+				return res, err
+			}
+			res.RolledBack += rolled
+			restored = next
 			var order []string
 			if c.Tiers != nil {
 				order = c.Tiers.OrderNames()
@@ -185,22 +212,24 @@ func RunScenario(cfg ClusterConfig, w workload.Restartable, scn fault.Scenario,
 			// rate); ramMax is the parallel estimate for RAM partner reads,
 			// which ride disjoint fabric links.
 			var readback, ramMax sim.Time
-			for i := 0; i < cfg.N; i++ {
-				s := line.Snaps[i]
+			for i, s := range restored {
 				if s == nil {
 					continue // this rank restarts from scratch
 				}
-				appStates[i] = s.AppState
-				libStates[i] = s.LibState
 				if c.Tiers == nil {
 					res.RecoveredCentral++
 					readback += sim.Seconds(float64(s.Size()) / centralReadBW(cfg.Storage))
 					continue
 				}
-				src, ok := c.Coord.Snapshots().RecoverySource(s.Epoch, i, order)
+				src, ok := "", false
+				if store.Get(s.Epoch, i) == s {
+					src, ok = store.RecoverySource(s.Epoch, i, order)
+				}
 				if !ok {
-					// The restart line only selects recoverable epochs; an
-					// untracked source degrades to the cold tier estimate.
+					// The restart line only selects recoverable epochs, and
+					// a carried-over snapshot belongs to an earlier
+					// attempt's archive; an untracked source degrades to the
+					// cold tier estimate.
 					src = string(tier.Central)
 				}
 				rt := c.Tiers.ReadTime(tier.Level(src), s.Size())
@@ -223,11 +252,56 @@ func RunScenario(cfg ClusterConfig, w workload.Restartable, scn fault.Scenario,
 			}
 			res.Wall += readback + ramMax
 		}
-		// With no usable line in this attempt's archive, the previous
-		// attempt's states (or nil: from scratch) carry over unchanged.
+		// With no usable line and nothing restored before, the next attempt
+		// starts from scratch.
 		c.K.Shutdown() // release the dead attempt's process goroutines
 	}
 	return res, fmt.Errorf("harness: job did not complete within %d attempts", maxAttempts)
+}
+
+// consistentLine completes a restart line and makes it sound under sender-log
+// garbage collection. A rank the line leaves at scratch keeps the snapshot
+// the failed attempt resumed from (prev): the failed attempt's senders
+// trimmed their logs against that state, so a rank can no longer restart
+// from scratch behind them. Then, while some receiver resumes behind a
+// watermark a sender already trimmed (a receiver's newest snapshot was
+// corrupt), mpi names the senders to roll back, and each steps to its next
+// older candidate: an older durable snapshot in this attempt's archive,
+// then the carried-over state, then scratch. An all-scratch line is always
+// consistent, so the loop ends. rolled counts the steps taken.
+func consistentLine(store *blcr.Store, line, prev []*blcr.Snapshot) (snaps []*blcr.Snapshot, rolled int, err error) {
+	snaps = make([]*blcr.Snapshot, len(line))
+	for i, s := range line {
+		if s == nil && prev != nil {
+			s = prev[i]
+		}
+		snaps[i] = s
+	}
+	libs := make([][]byte, len(snaps))
+	for {
+		for i, s := range snaps {
+			libs[i] = nil
+			if s != nil {
+				libs[i] = s.LibState
+			}
+		}
+		senders, err := mpi.RollbackSenders(libs)
+		if err != nil || len(senders) == 0 {
+			return snaps, rolled, err
+		}
+		for _, i := range senders {
+			cur := snaps[i]
+			snaps[i] = nil
+			if store.Get(cur.Epoch, i) == cur {
+				if _, older, _ := store.RankDurableBefore(i, cur.Epoch); older != nil {
+					snaps[i] = older
+				} else if prev != nil {
+					snaps[i] = prev[i]
+				}
+			}
+			rolled++
+		}
+	}
 }
 
 // centralReadBW is the central service's restart read-back rate: the

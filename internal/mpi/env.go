@@ -204,7 +204,8 @@ func (e *Env) isendInternal(c *Comm, dst, tag int, data []byte) *Request {
 		// paper prefers buffering: "the content of messages must always be
 		// fully logged", and zero-copy cannot be used). The entry survives
 		// in the sender's snapshot and is replayed to receivers restored
-		// from an earlier epoch.
+		// from an earlier epoch, until the receiver's next durable
+		// checkpoint covers it (CommitCheckpoint).
 		bw := r.job.cfg.MemCopyBW
 		if bw <= 0 {
 			bw = 2 << 30
@@ -213,8 +214,7 @@ func (e *Env) isendInternal(c *Comm, dst, tag int, data []byte) *Request {
 		r.stats.BytesLogged += int64(len(data))
 		logged := make([]byte, len(data))
 		copy(logged, data)
-		r.msgLog[world] = append(r.msgLog[world],
-			logEntry{Comm: c.id, SrcComm: c.myRank, Tag: tag, Seq: seq, Data: logged})
+		r.appendLog(world, logEntry{Comm: c.id, SrcComm: c.myRank, Tag: tag, Seq: seq, Data: logged})
 		e.p.Sleep(sim.Time(float64(len(data)) / bw * float64(sim.Second)))
 	}
 	if int64(len(data)) <= r.job.cfg.EagerThreshold {

@@ -41,7 +41,9 @@ type Config struct {
 	// MemCopyBW on the sender's critical path. The log is captured with the
 	// library state and replayed on restart (Job.ReplayLogs), which is what
 	// lets the uncoordinated protocol recover from per-rank checkpoints
-	// taken at different epochs.
+	// taken at different epochs. The log is garbage-collected at checkpoint
+	// commits (Rank.CommitCheckpoint), so it holds only what receivers have
+	// not yet durably incorporated.
 	LogMessages bool
 	// MemCopyBW is the memory-copy bandwidth used for logging copies.
 	// Zero means 2 GB/s.
@@ -80,6 +82,8 @@ type RankStats struct {
 	ReqsBuffered   int   // paper: request buffering events
 	MsgsLogged     int   // sender-based logging events (LogMessages mode)
 	BytesLogged    int64 // payload bytes copied into the message log
+	LogLive        int   // sender-log entries currently held (not yet trimmed)
+	LogLivePeak    int   // high-water mark of LogLive
 	DupsDiscarded  int   // duplicate re-sends dropped after a logging restart
 	Interrupts     int
 	HelperTicks    int
@@ -133,6 +137,7 @@ func NewJob(k *sim.Kernel, fabric *ib.Fabric, cfg Config, n int) (*Job, error) {
 			sendSeqTo: make(map[int]int64),
 			recvSeqOf: make(map[int]int64),
 			msgLog:    make(map[int][]logEntry),
+			logFloor:  make(map[int]int64),
 		}
 		r.ep.OnWork = r.onWork
 		r.ep.OnMessage = r.onMessage
@@ -249,6 +254,8 @@ type Rank struct {
 	sendSeqTo map[int]int64      // per-destination: last sequence number sent
 	recvSeqOf map[int]int64      // per-source: highest sequence incorporated
 	msgLog    map[int][]logEntry // per-destination sender-based message log
+	logFloor  map[int]int64      // per-destination: log trimmed through this sequence
+	marks     []watermark        // receive watermarks of uncommitted checkpoints
 
 	// Checkpoint integration.
 	hooks     CRHooks

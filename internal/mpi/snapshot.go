@@ -105,6 +105,9 @@ type savedLog struct {
 	Data    []byte
 }
 
+// libStateV2 is the LogMessages-mode capture. Log holds only the live
+// suffix of the sender log; Floor records, per destination, the sequence
+// number it was trimmed through (see CommitCheckpoint).
 type libStateV2 struct {
 	Unexpected []savedMsg
 	Outbox     []savedOutV2
@@ -112,6 +115,7 @@ type libStateV2 struct {
 	SendSeq    []seqEntry
 	RecvSeq    []seqEntry
 	Log        []savedLog
+	Floor      []seqEntry
 }
 
 // CaptureLibState serializes the rank's library state for a snapshot: the
@@ -166,8 +170,8 @@ func (r *Rank) CaptureLibState() ([]byte, error) {
 }
 
 // captureLibStateV2 is the LogMessages-mode capture: the v1 queues plus the
-// per-peer sequence counters and the sender-based message log, all in sorted
-// peer order so the bytes are deterministic.
+// per-peer sequence counters, the live sender-log suffix and its per-peer
+// floors, all in sorted peer order so the bytes are deterministic.
 func (r *Rank) captureLibStateV2() ([]byte, error) {
 	st := libStateV2{CommIndex: r.commIndex}
 	for _, m := range r.unexpected {
@@ -191,6 +195,7 @@ func (r *Rank) captureLibStateV2() ([]byte, error) {
 	}
 	st.SendSeq = sortedSeqEntries(r.sendSeqTo)
 	st.RecvSeq = sortedSeqEntries(r.recvSeqOf)
+	st.Floor = sortedSeqEntries(r.logFloor)
 	for _, dst := range sortedPeers(r.msgLog) {
 		for _, le := range r.msgLog[dst] {
 			st.Log = append(st.Log, savedLog{
@@ -239,6 +244,16 @@ func (r *Rank) RestoreLibState(data []byte) error {
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&st); err != nil {
 		return err
 	}
+	for _, m := range st.Unexpected {
+		if err := r.checkPeer("unexpected source", m.SrcWorld); err != nil {
+			return err
+		}
+	}
+	for _, o := range st.Outbox {
+		if err := r.checkPeer("outbox destination", o.Dst); err != nil {
+			return err
+		}
+	}
 	r.commIndex = 0 // the restarted body re-creates its communicators
 	for _, m := range st.Unexpected {
 		r.unexpected = append(r.unexpected, &inMsg{
@@ -257,12 +272,15 @@ func (r *Rank) RestoreLibState(data []byte) error {
 }
 
 // restoreLibStateV2 reconstructs LogMessages-mode state: queues, per-peer
-// sequence counters, and the sender log. Deferred sends re-post with their
-// original sequence numbers, so a copy that also arrives via log replay is
-// discarded by the receiver's duplicate check.
+// sequence counters, and the sender log with its floors. Deferred sends
+// re-post with their original sequence numbers, so a copy that also arrives
+// via log replay is discarded by the receiver's duplicate check.
 func (r *Rank) restoreLibStateV2(data []byte) error {
 	var st libStateV2
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&st); err != nil {
+		return err
+	}
+	if err := r.checkLibStateV2(&st); err != nil {
 		return err
 	}
 	r.commIndex = 0 // the restarted body re-creates its communicators
@@ -278,10 +296,14 @@ func (r *Rank) restoreLibStateV2(data []byte) error {
 	for _, se := range st.RecvSeq {
 		r.recvSeqOf[se.Peer] = se.Seq
 	}
+	for _, se := range st.Floor {
+		r.logFloor[se.Peer] = se.Seq
+	}
 	for _, le := range st.Log {
 		r.msgLog[le.Dst] = append(r.msgLog[le.Dst],
 			logEntry{Comm: le.Comm, SrcComm: le.SrcComm, Tag: le.Tag, Seq: le.Seq, Data: le.Data})
 	}
+	r.noteLogLive(len(st.Log))
 	for _, o := range st.Outbox {
 		r.post(o.Dst, outItem{
 			kind:    outEager,
@@ -292,33 +314,67 @@ func (r *Rank) restoreLibStateV2(data []byte) error {
 	return nil
 }
 
-// ReplayLogs completes an uncoordinated restart: after every rank's library
-// state has been restored (possibly from snapshots of different epochs), the
-// logged messages a receiver's restored state had not yet incorporated are
-// injected into its unexpected queue as eager deliveries, in per-pair
-// sequence order. Restored senders re-execute and re-send everything after
-// their own snapshot point, so the log covers exactly the gap: messages sent
-// before the sender's snapshot that the receiver (restored further back) had
-// not seen. It returns the number of messages injected.
-func (j *Job) ReplayLogs() int {
-	injected := 0
-	for src, s := range j.ranks {
-		for _, dst := range sortedPeers(s.msgLog) {
-			d := j.ranks[dst]
-			for _, le := range s.msgLog[dst] {
-				if le.Seq <= d.recvSeqOf[src] {
-					continue
-				}
-				d.recvSeqOf[src] = le.Seq
-				data := make([]byte, len(le.Data))
-				copy(data, le.Data)
-				d.unexpected = append(d.unexpected, &inMsg{
-					comm: le.Comm, srcComm: le.SrcComm, srcWorld: src,
-					tag: le.Tag, eager: true, data: data,
-				})
-				injected++
-			}
+// checkPeer rejects a decoded peer that is not another rank of the job.
+func (r *Rank) checkPeer(field string, peer int) error {
+	if peer < 0 || peer >= len(r.job.ranks) || peer == r.world {
+		return fmt.Errorf("mpi: rank %d library state: %s %d is not a peer in a %d-rank job",
+			r.world, field, peer, len(r.job.ranks))
+	}
+	return nil
+}
+
+// checkSeqs validates one decoded per-peer counter list and returns it as a
+// map.
+func (r *Rank) checkSeqs(field string, ents []seqEntry) (map[int]int64, error) {
+	m := make(map[int]int64, len(ents))
+	for _, se := range ents {
+		if err := r.checkPeer(field, se.Peer); err != nil {
+			return nil, err
+		}
+		if se.Seq < 0 {
+			return nil, fmt.Errorf("mpi: rank %d library state: negative %s %d for peer %d", r.world, field, se.Seq, se.Peer)
+		}
+		m[se.Peer] = se.Seq
+	}
+	return m, nil
+}
+
+// checkLibStateV2 validates a decoded v2 state before any of it is applied:
+// every peer is another rank of the job, counters are non-negative, and each
+// destination's log is strictly ascending in sequence number, above its
+// floor and no later than the last sequence sent — the ordering that log
+// trimming and replay rely on.
+func (r *Rank) checkLibStateV2(st *libStateV2) error {
+	for _, m := range st.Unexpected {
+		if err := r.checkPeer("unexpected source", m.SrcWorld); err != nil {
+			return err
 		}
 	}
-	return injected
+	for _, o := range st.Outbox {
+		if err := r.checkPeer("outbox destination", o.Dst); err != nil {
+			return err
+		}
+	}
+	sent, err := r.checkSeqs("send counter", st.SendSeq)
+	if err != nil {
+		return err
+	}
+	if _, err := r.checkSeqs("receive counter", st.RecvSeq); err != nil {
+		return err
+	}
+	last, err := r.checkSeqs("log floor", st.Floor)
+	if err != nil {
+		return err
+	}
+	for _, le := range st.Log {
+		if err := r.checkPeer("log destination", le.Dst); err != nil {
+			return err
+		}
+		if le.Seq <= last[le.Dst] || le.Seq > sent[le.Dst] {
+			return fmt.Errorf("mpi: rank %d library state: log entry seq %d to rank %d out of order (after %d, last sent %d)",
+				r.world, le.Seq, le.Dst, last[le.Dst], sent[le.Dst])
+		}
+		last[le.Dst] = le.Seq
+	}
+	return nil
 }
