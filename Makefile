@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all check build test vet lint lint-json race bench bench-json bench-shards figures figures-txt examples cover clean
+.PHONY: all check build test vet lint lint-json race bench bench-json figures figures-txt examples cover clean
 
 all: check
 
@@ -51,14 +51,6 @@ bench:
 # seed each metric's "prev" field, so the file carries its own trajectory.
 bench-json:
 	$(GO) test -bench=. -benchmem -benchtime=1x ./... | $(GO) run ./cmd/benchjson -prev BENCH_results.json -o BENCH_results.json
-
-# Sharded-kernel and sharded-executor benchmarks only, with the serial
-# siblings benchjson needs to derive speedup-vs-serial, as standalone JSON.
-# On a 4+-core machine the S=4 cells should show the speedup; the meta
-# section records GOMAXPROCS and the CPU count so the numbers are read in
-# context.
-bench-shards:
-	$(GO) test -bench='BenchmarkShardEngine|BenchmarkFig5HPLDelay(Serial|Sharded)?$$' -benchtime=1x -run '^$$' ./internal/sim/ . | $(GO) run ./cmd/benchjson -o bench-shards.json
 
 # Print every figure/ablation/extension as text tables.
 figures:

@@ -110,19 +110,6 @@ func BenchmarkFig5HPLDelaySerial(b *testing.B) {
 	}
 }
 
-// BenchmarkFig5HPLDelaySharded is the sharded-executor twin of
-// BenchmarkFig5HPLDelaySerial: the same 6x8 sweep matrix on the static
-// four-shard executor. cmd/benchjson derives speedup-vs-serial from the
-// Serial twin; on a 4+-core machine the sweep parallelizes across shards,
-// on fewer cores the ratio reports the executor's coordination overhead.
-func BenchmarkFig5HPLDelaySharded(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := figures.NewShardedGenerator(4).Fig5(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkFig6HPLSummary regenerates Figure 6: per-group-size mean/min/max
 // of the Figure 5 data.
 func BenchmarkFig6HPLSummary(b *testing.B) {

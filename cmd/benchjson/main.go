@@ -11,10 +11,9 @@
 // select the current package context or are ignored. A failed benchmark run
 // (no result lines, or a line containing "FAIL") exits with status 1.
 //
-// The output carries a "meta" section recording GOMAXPROCS, the CPU count,
-// and the shard counts seen in benchmark names, and every sharded benchmark
-// ("/S=k" sub-benchmarks, "...Sharded" twins) gets a derived
-// speedup-vs-serial metric computed from its serial sibling's ns/op.
+// The output carries a "meta" section recording GOMAXPROCS and the CPU
+// count, and every benchmark BenchmarkX with a BenchmarkXSerial sibling gets
+// a derived speedup-vs-serial metric computed from the sibling's ns/op.
 //
 // -prev FILE annotates every metric with its value from a previous results
 // file (matched by package, benchmark, and unit), recording the perf
@@ -30,9 +29,7 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"regexp"
 	"runtime"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -59,9 +56,8 @@ type benchJSON struct {
 // near 1.0 on a 1-CPU host measures coordination overhead, not a failure to
 // scale.
 type metaJSON struct {
-	GoMaxProcs  int   `json:"gomaxprocs"`
-	NumCPU      int   `json:"numcpu"`
-	ShardCounts []int `json:"shard_counts,omitempty"`
+	GoMaxProcs int `json:"gomaxprocs"`
+	NumCPU     int `json:"numcpu"`
 }
 
 // document is the top-level output shape.
@@ -155,32 +151,27 @@ func annotatePrev(doc *document, prev document) {
 	}
 }
 
-// shardRe matches the shard-count component of a sub-benchmark name, e.g.
-// the "S=4" in "BenchmarkShardEngine/S=4-8".
-var shardRe = regexp.MustCompile(`S=(\d+)`)
-
-// serialSibling returns the name of the serial twin a sharded benchmark is
-// measured against, or "" when the benchmark has none (including when it is
-// itself the serial twin). Two naming conventions are recognized:
-// sub-benchmarks per shard count ("/S=k" → "/S=1") and twin top-level
-// benchmarks ("...Sharded-8" → "...Serial-8"). The -GOMAXPROCS suffix is
-// part of the name and is preserved, so siblings never match across
-// different GOMAXPROCS runs.
+// serialSibling returns the name of the serial twin a benchmark is
+// measured against: BenchmarkX pairs with BenchmarkXSerial. The suffix goes
+// on the top-level name, before any "/sub" part or -GOMAXPROCS suffix,
+// which are preserved so siblings never match across different GOMAXPROCS
+// runs. A benchmark that is itself a Serial twin has no sibling ("").
 func serialSibling(name string) string {
-	if m := shardRe.FindStringSubmatch(name); m != nil {
-		if m[1] == "1" {
-			return ""
-		}
-		return shardRe.ReplaceAllString(name, "S=1")
+	split := strings.IndexByte(name, '/')
+	if split < 0 {
+		split = strings.LastIndexByte(name, '-')
 	}
-	if strings.Contains(name, "Sharded") {
-		return strings.Replace(name, "Sharded", "Serial", 1)
+	if split < 0 {
+		split = len(name)
 	}
-	return ""
+	if strings.HasSuffix(name[:split], "Serial") {
+		return ""
+	}
+	return name[:split] + "Serial" + name[split:]
 }
 
-// deriveSpeedups appends a speedup-vs-serial metric to every sharded
-// benchmark with a serial sibling in the same package: the sibling's ns/op
+// deriveSpeedups appends a speedup-vs-serial metric to every benchmark with
+// a serial sibling in the same package: the sibling's ns/op
 // divided by the benchmark's own. Derived before -prev annotation, so the
 // committed results also carry the speedup trajectory.
 func deriveSpeedups(doc *document) {
@@ -209,22 +200,10 @@ func deriveSpeedups(doc *document) {
 	}
 }
 
-// buildMeta records the converter's machine context plus every shard count
-// seen in the benchmark names. benchjson runs in the same pipeline (and so
-// on the same machine) as the bench run itself.
-func buildMeta(doc document) *metaJSON {
-	meta := &metaJSON{GoMaxProcs: runtime.GOMAXPROCS(0), NumCPU: runtime.NumCPU()}
-	seen := make(map[int]bool)
-	for _, b := range doc.Benchmarks {
-		if m := shardRe.FindStringSubmatch(b.Name); m != nil {
-			if s, err := strconv.Atoi(m[1]); err == nil && !seen[s] {
-				seen[s] = true
-				meta.ShardCounts = append(meta.ShardCounts, s)
-			}
-		}
-	}
-	sort.Ints(meta.ShardCounts)
-	return meta
+// buildMeta records the converter's machine context. benchjson runs in the
+// same pipeline (and so on the same machine) as the bench run itself.
+func buildMeta() *metaJSON {
+	return &metaJSON{GoMaxProcs: runtime.GOMAXPROCS(0), NumCPU: runtime.NumCPU()}
 }
 
 func main() {
@@ -250,7 +229,7 @@ func main() {
 		fail("%v", err)
 	}
 	deriveSpeedups(&doc)
-	doc.Meta = buildMeta(doc)
+	doc.Meta = buildMeta()
 	if havePrev {
 		annotatePrev(&doc, prev)
 	}

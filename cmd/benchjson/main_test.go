@@ -81,24 +81,22 @@ func TestParseRejectsFailAndEmpty(t *testing.T) {
 	}
 }
 
-const shardedSample = `pkg: gbcr/internal/sim
-BenchmarkShardEngine/S=1-4         10        9000000 ns/op
-BenchmarkShardEngine/S=2-4         10        5000000 ns/op
-BenchmarkShardEngine/S=4-4         10        3000000 ns/op
-pkg: gbcr
+const twinSample = `pkg: gbcr
+BenchmarkFig3GroupSizeSerial-4      1        9000000 ns/op
+BenchmarkFig3GroupSize-4            1        3000000 ns/op
 BenchmarkFig5HPLDelaySerial-4       1        8000000 ns/op
-BenchmarkFig5HPLDelaySharded-4      1        2000000 ns/op
-BenchmarkFig5HPLDelay-4             1        2100000 ns/op
+BenchmarkFig5HPLDelay-4             1        2000000 ns/op
+BenchmarkFig1StorageBandwidth-4     1        1000000 ns/op
 ok      gbcr    1.0s
 `
 
 func TestSerialSibling(t *testing.T) {
 	cases := []struct{ name, want string }{
-		{"BenchmarkShardEngine/S=4-8", "BenchmarkShardEngine/S=1-8"},
-		{"BenchmarkShardEngine/S=1-8", ""},
-		{"BenchmarkFig5HPLDelaySharded-4", "BenchmarkFig5HPLDelaySerial-4"},
+		{"BenchmarkFig5HPLDelay-4", "BenchmarkFig5HPLDelaySerial-4"},
 		{"BenchmarkFig5HPLDelaySerial-4", ""},
-		{"BenchmarkFig5HPLDelay-4", ""},
+		{"BenchmarkFig5HPLDelay", "BenchmarkFig5HPLDelaySerial"},
+		{"BenchmarkFig5HPLDelaySerial", ""},
+		{"BenchmarkProcSwitch/n-8-4", "BenchmarkProcSwitchSerial/n-8-4"},
 	}
 	for _, c := range cases {
 		if got := serialSibling(c.name); got != c.want {
@@ -118,48 +116,42 @@ func speedupOf(t *testing.T, b benchJSON) float64 {
 }
 
 func TestDeriveSpeedupsAndMeta(t *testing.T) {
-	doc, err := parse(strings.NewReader(shardedSample))
+	doc, err := parse(strings.NewReader(twinSample))
 	if err != nil {
 		t.Fatal(err)
 	}
 	deriveSpeedups(&doc)
-	if got := speedupOf(t, doc.Benchmarks[1]); got != 9.0/5.0 {
-		t.Fatalf("S=2 speedup: %v", got)
+	if got := speedupOf(t, doc.Benchmarks[1]); got != 3.0 {
+		t.Fatalf("Fig3 pool speedup: %v", got)
 	}
-	if got := speedupOf(t, doc.Benchmarks[2]); got != 3.0 {
-		t.Fatalf("S=4 speedup: %v", got)
+	if got := speedupOf(t, doc.Benchmarks[3]); got != 4.0 {
+		t.Fatalf("Fig5 pool speedup: %v", got)
 	}
-	if got := speedupOf(t, doc.Benchmarks[4]); got != 4.0 {
-		t.Fatalf("Sharded twin speedup: %v", got)
-	}
-	// Serial siblings and unrelated benchmarks carry no derived metric.
-	for _, i := range []int{0, 3, 5} {
+	// Serial siblings and benchmarks without a twin carry no derived metric.
+	for _, i := range []int{0, 2, 4} {
 		if speedupOf(t, doc.Benchmarks[i]) != 0 {
 			t.Fatalf("benchmark %d should have no speedup: %+v", i, doc.Benchmarks[i])
 		}
 	}
-	meta := buildMeta(doc)
+	meta := buildMeta()
 	if meta.GoMaxProcs < 1 || meta.NumCPU < 1 {
 		t.Fatalf("meta machine context: %+v", meta)
-	}
-	if len(meta.ShardCounts) != 3 || meta.ShardCounts[0] != 1 || meta.ShardCounts[2] != 4 {
-		t.Fatalf("meta shard counts: %v", meta.ShardCounts)
 	}
 }
 
 func TestAnnotatePrevCoversDerived(t *testing.T) {
-	doc, err := parse(strings.NewReader(shardedSample))
+	doc, err := parse(strings.NewReader(twinSample))
 	if err != nil {
 		t.Fatal(err)
 	}
 	deriveSpeedups(&doc)
 	prev := document{Benchmarks: []benchJSON{
-		{Package: "gbcr/internal/sim", Name: "BenchmarkShardEngine/S=4-4", Metrics: []metricJSON{
+		{Package: "gbcr", Name: "BenchmarkFig5HPLDelay-4", Metrics: []metricJSON{
 			{Unit: "speedup-vs-serial", Value: 2.5},
 		}},
 	}}
 	annotatePrev(&doc, prev)
-	for _, m := range doc.Benchmarks[2].Metrics {
+	for _, m := range doc.Benchmarks[3].Metrics {
 		if m.Unit == "speedup-vs-serial" {
 			if m.Prev == nil || *m.Prev != 2.5 {
 				t.Fatalf("derived metric prev: %+v", m)

@@ -15,15 +15,21 @@
 //	ckptsim -workload ring -protocol uncoord -interval 5 -faults crash@12s
 //	ckptsim -workload ring -storage hierarchy -replicas 2 -interval 5 -faults 'memloss@17s:count=2'
 //	ckptsim -workload ring -storage burst -interval 5 -faults 'bboutage@20s+5s'
-//	ckptsim -workload commgroups -group 8 -at 10,20,30,40 -shards 4  # sharded executor
+//	ckptsim -workload commgroups -group 8 -at 10,20,30,40 -workers 4  # one cell per time
 //
-// Invalid flags and failed runs exit with status 1 and a one-line message.
+// A comma-separated -at list runs one cell per issuance time on the
+// harness Runner's worker pool (-workers bounds it; 0 = GOMAXPROCS) and
+// merges the traces in cell order, so every output is byte-identical at
+// any worker count. Invalid flags — including time flags that are negative,
+// NaN, infinite or beyond the simulated clock's range — and failed runs
+// exit with status 1 and a one-line message.
 package main
 
 import (
 	"bytes"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -53,7 +59,7 @@ func main() {
 		group     = flag.Int("group", 8, "checkpoint group size (0 = regular, all at once)")
 		proto     = flag.String("protocol", "group", "coordination protocol: group, wholejob, uncoord")
 		at        = flag.String("at", "10", "checkpoint issuance time(s) in seconds; a comma-separated list runs one cell per time")
-		shards    = flag.Int("shards", 1, "cells-per-shard parallel executor width; merged outputs are byte-identical to -shards 1")
+		workers   = flag.Int("workers", 0, "worker pool size for an -at list (0 = GOMAXPROCS, 1 = serial); merged outputs are identical at any size")
 		foot      = flag.Int64("footprint", 180, "per-process footprint in MB (commgroups/barrier/ring/allgather/stencil)")
 		iters     = flag.Int("iters", 900, "iterations (commgroups/ring/allgather/stencil)")
 		dynamic   = flag.Bool("dynamic", false, "dynamic group formation from the communication pattern")
@@ -77,6 +83,18 @@ func main() {
 	// -seed would misreport what the run measured.
 	set := make(map[string]bool)
 	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	ats, err := parseTimes(*at)
+	if err != nil {
+		fail("%v", err)
+	}
+	mtbfT, err := seconds("mtbf", *mtbf)
+	if err != nil {
+		fail("%v", err)
+	}
+	intervalT, err := seconds("interval", *interval)
+	if err != nil {
+		fail("%v", err)
+	}
 	failureRun := *mtbf > 0 || *faults != ""
 	if set["interval"] && !failureRun {
 		fail("-interval only applies to failure runs; add -mtbf or -faults")
@@ -129,23 +147,18 @@ func main() {
 		fail("-storage %s requires a blocking protocol; uncoord commits per rank on central-write completion", mode)
 	}
 
-	// Issuance times and executor width. Multiple -at values form a cell
-	// matrix; -shards runs it on the static sharded executor. Combinations a
-	// shard cannot honor are rejected, not ignored: a failure run is one
-	// serial restart chain (there is nothing to shard), and a shard with no
-	// cells would misreport the executor width that ran.
-	ats := parseTimes(*at)
-	shardedRun := *shards > 1 || len(ats) > 1
-	if *shards < 1 {
-		fail("-shards must be >= 1, got %d", *shards)
+	// Issuance times and pool width. Multiple -at values (or -workers) form
+	// a cell matrix run on the Runner's worker pool. Combinations it cannot
+	// honor are rejected, not ignored: a failure run is one serial restart
+	// chain, so there are no cells to spread over workers.
+	matrixRun := len(ats) > 1 || set["workers"]
+	if *workers < 0 {
+		fail("-workers must not be negative, got %d", *workers)
 	}
-	if shardedRun && failureRun {
-		fail("-shards/-at lists do not apply to failure runs; an availability run is one serial restart chain")
+	if matrixRun && failureRun {
+		fail("-workers/-at lists do not apply to failure runs; an availability run is one serial restart chain")
 	}
-	if *shards > len(ats) {
-		fail("%d shards but only %d cells (-at values); a shard with no cells cannot honor the request", *shards, len(ats))
-	}
-	if shardedRun && *verbose {
+	if matrixRun && *verbose {
 		fail("-v only applies to single-cell runs; use -trace for the merged timeline")
 	}
 
@@ -163,12 +176,6 @@ func main() {
 	}
 	if *iters <= 0 {
 		fail("-iters must be positive, got %d", *iters)
-	}
-	if *mtbf < 0 {
-		fail("-mtbf must not be negative, got %v", *mtbf)
-	}
-	if *interval < 0 {
-		fail("-interval must not be negative, got %v", *interval)
 	}
 
 	var w workload.Workload
@@ -228,17 +235,21 @@ func main() {
 		}
 	}
 
-	if shardedRun {
+	if matrixRun {
 		cells := make([]harness.Cell, len(ats))
 		for i, t := range ats {
 			cells[i] = harness.Cell{Config: cfg, Workload: w, IssuedAt: t}
 		}
-		run, err := harness.RunSharded(cells, harness.ShardedOptions{
-			Shards: *shards,
+		r := harness.NewRunner(*workers)
+		var agg *obs.Aggregate
+		if *metrics != "" {
+			agg = obs.NewAggregate()
+			r.SetAggregate(agg)
+		}
+		run, err := r.RunTraced(cells, harness.TraceOptions{
 			Trace:  *showTrace,
 			JSONL:  *traceJSON != "",
 			Chrome: *traceChr != "",
-			Exec:   *traceChr != "",
 		})
 		if err != nil {
 			fail("%v", err)
@@ -263,7 +274,7 @@ func main() {
 		}
 		if *metrics != "" {
 			var buf bytes.Buffer
-			if err := run.Aggregate().WriteJSON(&buf); err != nil {
+			if err := agg.Snapshot().WriteJSON(&buf); err != nil {
 				fail("encoding %s: %v", *metrics, err)
 			}
 			if err := os.WriteFile(*metrics, buf.Bytes(), 0o644); err != nil {
@@ -279,7 +290,7 @@ func main() {
 				fmt.Printf("storage:               %s\n", mode)
 			}
 		}
-		fmt.Printf("sharded executor:      S=%d over %d cells\n", run.Shards, len(cells))
+		fmt.Printf("worker pool:           %d workers over %d cells\n", min(r.Workers(), len(cells)), len(cells))
 		for i, res := range run.Results {
 			fmt.Printf("cell %d: at=%-6v baseline=%v with=%v delay=%v total=%v\n",
 				i, res.IssuedAt, res.Baseline, res.WithCkpt, res.EffectiveDelay(), res.Total())
@@ -354,12 +365,12 @@ func main() {
 		}
 		scn := loadScenario(*faults)
 		if set["mtbf"] {
-			scn.MTBF = sim.Seconds(*mtbf)
+			scn.MTBF = mtbfT
 		}
 		if set["seed"] || scn.Seed == 0 {
 			scn.Seed = *seed
 		}
-		iv := sim.Seconds(*interval)
+		iv := intervalT
 		if iv <= 0 {
 			if scn.MTBF <= 0 {
 				fail("-faults without a scenario MTBF needs an explicit -interval")
@@ -448,21 +459,36 @@ func main() {
 
 // parseTimes parses the -at flag: one or more comma-separated checkpoint
 // issuance times in seconds.
-func parseTimes(arg string) []sim.Time {
+func parseTimes(arg string) ([]sim.Time, error) {
 	parts := strings.Split(arg, ",")
 	out := make([]sim.Time, 0, len(parts))
 	for _, p := range parts {
 		p = strings.TrimSpace(p)
 		v, err := strconv.ParseFloat(p, 64)
 		if err != nil {
-			fail("-at: %q is not a number", p)
+			return nil, fmt.Errorf("-at: %q is not a number", p)
 		}
-		if v < 0 {
-			fail("-at must not be negative, got %v", v)
+		t, err := seconds("at", v)
+		if err != nil {
+			return nil, err
 		}
-		out = append(out, sim.Seconds(v))
+		out = append(out, t)
 	}
-	return out
+	return out, nil
+}
+
+// seconds converts the value of time flag -name, given in seconds, to a
+// sim.Time. Negative values, NaN, infinities and values beyond the range
+// of sim.Time are errors: a silent conversion would run a different
+// experiment than the one asked for.
+func seconds(name string, v float64) (sim.Time, error) {
+	if math.IsNaN(v) || math.IsInf(v, 0) || math.Abs(v)*float64(sim.Second) >= math.MaxInt64 {
+		return 0, fmt.Errorf("-%s: %v is not a finite time in seconds", name, v)
+	}
+	if v < 0 {
+		return 0, fmt.Errorf("-%s must not be negative, got %v", name, v)
+	}
+	return sim.Seconds(v), nil
 }
 
 // loadScenario parses the -faults argument: the name of a file holding a

@@ -19,7 +19,7 @@ import (
 //     callee) while A is held, the edge A→B enters a global order graph;
 //     any edge participating in a cycle — including the self-edge of
 //     re-acquiring a held sync.Mutex — is a potential deadlock under
-//     concurrent shards;
+//     concurrent cells;
 //   - blocking while holding a lock: a channel operation, a select without
 //     default, a Wait/Park/Sleep-style call, or a call to a same-package
 //     function that may block, executed with a lock held, parks the

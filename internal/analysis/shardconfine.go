@@ -7,11 +7,11 @@ import (
 	"strings"
 )
 
-// ShardConfine establishes the confinement contract the future sharded
-// (parallel-across-groups) kernel relies on: state in sim-reachable packages
-// is owned by exactly one shard and crosses shard/rank boundaries only
-// through kernel events — unless a declaration explicitly opts in to shared
-// mutability with
+// ShardConfine establishes the confinement contract the Runner's concurrent
+// cells rely on: a shard is one cell's simulation, and state in
+// sim-reachable packages is owned by exactly one shard and crosses
+// shard/rank boundaries only through kernel events — unless a declaration
+// explicitly opts in to shared mutability with
 //
 //	// shared: <channel|mutex|atomic> [rationale]
 //
@@ -24,8 +24,8 @@ import (
 //   - goroutine launches (a second goroutine is a second shard by
 //     definition) without one;
 //   - package-level variables that any function in the package writes —
-//     under a sharded kernel every package-level write is a cross-shard
-//     write.
+//     with cells running concurrently every package-level write is a
+//     cross-shard write.
 //
 // The declared mechanism must match the type: a channel field must say
 // "shared: channel", a mutex "shared: mutex", an atomic "shared: atomic" —
@@ -158,9 +158,10 @@ func checkLocalSharing(pass *Pass, body *ast.BlockStmt, requireShared func(token
 }
 
 // checkPackageVars flags package-level variables that are written from any
-// function body in the package — under a sharded kernel a package-level
-// write is a cross-shard write — plus any package-level variable of a
-// concurrency-bearing type, which is shared machinery by construction.
+// function body in the package — with cells running concurrently a
+// package-level write is a cross-shard write — plus any package-level
+// variable of a concurrency-bearing type, which is shared machinery by
+// construction.
 // Initialization in the var declaration itself is not a write; read-only
 // tables of plain types stay unannotated.
 func checkPackageVars(pass *Pass, requireShared func(token.Pos, string, string)) {

@@ -32,15 +32,6 @@ func NewGenerator(workers int) *Generator {
 	return &Generator{R: harness.NewRunner(workers)}
 }
 
-// NewShardedGenerator returns a Generator whose Runner schedules cells on
-// the static sharded executor (harness.ForEachSharded) instead of the
-// work-stealing pool. Figures come out bit-identical either way; the shard
-// count only changes which core runs which cell (shards <= 0 selects
-// GOMAXPROCS).
-func NewShardedGenerator(shards int) *Generator {
-	return &Generator{R: harness.NewShardedRunner(shards)}
-}
-
 // Table is a labeled grid of measurements. The JSON tags define the
 // machine-readable series format emitted by cmd/figures -json.
 type Table struct {

@@ -1,7 +1,10 @@
 package harness
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
+	"io"
 	"runtime"
 	"sync"
 
@@ -18,12 +21,13 @@ import (
 // Sweep. The Runner also memoizes baselines: a failure-free run never
 // schedules a checkpoint, so its completion time depends only on the
 // canonicalized cluster configuration and the workload identity, and sweeps
-// or figure regeneration never re-run an identical baseline.
+// or figure regeneration never re-run an identical baseline. It is the only
+// sweep executor: Run returns results in cell order, and RunTraced also
+// merges per-cell traces in cell order.
 //
 // A Runner is safe for concurrent use by multiple goroutines.
 type Runner struct {
 	workers int
-	sharded bool // static round-robin scheduling instead of the work-stealing pool
 
 	// shared: mutex serializes the memo table and aggregate across worker goroutines
 	mu        sync.Mutex
@@ -69,24 +73,8 @@ func NewRunner(workers int) *Runner {
 	return &Runner{workers: workers, baselines: make(map[string]*baselineEntry)}
 }
 
-// NewShardedRunner returns a Runner that schedules statically: shard s owns
-// the cell indices congruent to s modulo shards (ForEachSharded) instead of
-// drawing from a shared work queue. Results are bit-identical either way —
-// cells are independent — but the static partition gives merged outputs
-// stable shard attribution and makes the schedule itself reproducible.
-// shards <= 0 selects GOMAXPROCS.
-func NewShardedRunner(shards int) *Runner {
-	r := NewRunner(shards)
-	r.sharded = true
-	return r
-}
-
 // Workers reports the worker-pool bound.
 func (r *Runner) Workers() int { return r.workers }
-
-// Sharded reports whether the Runner schedules statically (NewShardedRunner)
-// rather than on the work-stealing pool.
-func (r *Runner) Sharded() bool { return r.sharded }
 
 // CacheStats reports baseline-cache hits and misses so far. A hit includes
 // waiting on an in-flight computation of the same key.
@@ -129,20 +117,29 @@ func (r *Runner) Baseline(cfg ClusterConfig, w workload.Workload) (sim.Time, err
 // Measure runs one checkpointed cell, taking the baseline from the cache.
 // With an aggregate installed, the cell's metrics are merged into it.
 func (r *Runner) Measure(cfg ClusterConfig, w workload.Workload, issuedAt sim.Time) (Result, error) {
-	base, err := r.Baseline(cfg, w)
+	return r.measure(Cell{Config: cfg, Workload: w, IssuedAt: issuedAt}, nil)
+}
+
+// measure runs cell c with its baseline from the cache, observed by bus
+// (nil for none). With an aggregate installed the cell always runs on a bus
+// — a private one when the caller passes nil — and its metrics are merged
+// into the aggregate on success.
+func (r *Runner) measure(c Cell, bus *obs.Bus) (Result, error) {
+	base, err := r.Baseline(c.Config, c.Workload)
 	if err != nil {
 		return Result{}, err
 	}
 	agg := r.aggregate()
-	if agg == nil {
-		return MeasureWithBaseline(cfg, w, issuedAt, base)
+	if agg != nil && bus == nil {
+		bus = obs.NewBus()
 	}
-	bus := obs.NewBus()
-	res, err := measureWithBaselineObs(cfg, w, issuedAt, base, bus)
+	res, err := measureWithBaselineObs(c.Config, c.Workload, c.IssuedAt, base, bus)
 	if err != nil {
 		return res, err
 	}
-	agg.Merge(bus.Metrics().Snapshot())
+	if agg != nil {
+		agg.Merge(bus.Metrics().Snapshot())
+	}
 	return res, nil
 }
 
@@ -155,22 +152,138 @@ type Cell struct {
 	IssuedAt sim.Time
 }
 
+// label is the cell's stable identity in errors and merged outputs: it
+// depends only on the cell index and contents, never on the schedule.
+func (c Cell) label(i int) string {
+	return fmt.Sprintf("cell %d: %s group=%d at=%v",
+		i, c.Workload.Name(), c.Config.CR.GroupSize, c.IssuedAt)
+}
+
 // Run measures every cell on the worker pool and returns the results in
 // cell order. Cells are independent simulations, so the schedule cannot
 // change any result — only the wall-clock time. On failure the first error
 // in cell order is returned along with the results computed so far.
 func (r *Runner) Run(cells []Cell) ([]Result, error) {
-	out := make([]Result, len(cells))
+	run, err := r.RunTraced(cells, TraceOptions{})
+	return run.Results, err
+}
+
+// TraceOptions selects RunTraced's per-cell captures. Each cell records on
+// private sinks and the captures are merged in cell order, so every output
+// is byte-identical at any worker count; only wall-clock time changes.
+type TraceOptions struct {
+	Trace  bool // text timelines (TracedRun.RenderTimeline)
+	JSONL  bool // JSON Lines traces (TracedRun.WriteJSONL)
+	Chrome bool // Chrome traces, one process per cell (TracedRun.WriteChrome)
+}
+
+// TracedRun is one executed cell matrix: results in cell order plus the
+// per-cell captures RunTraced was asked for.
+type TracedRun struct {
+	Cells   []Cell
+	Results []Result
+
+	mems    []*obs.MemorySink
+	jsonls  []*bytes.Buffer
+	chromes []*obs.ChromeSink
+}
+
+// RunTraced is Run with per-cell observability captures. Baselines come
+// from the Runner's memo, so cells sharing a configuration never re-run
+// the failure-free execution, and with an aggregate installed
+// (SetAggregate) every cell's metrics are merged into it. On failure the
+// first error in cell order is returned along with the results computed so
+// far.
+func (r *Runner) RunTraced(cells []Cell, opt TraceOptions) (*TracedRun, error) {
+	run := &TracedRun{Cells: cells, Results: make([]Result, len(cells))}
+	if opt.Trace {
+		run.mems = make([]*obs.MemorySink, len(cells))
+	}
+	if opt.JSONL {
+		run.jsonls = make([]*bytes.Buffer, len(cells))
+	}
+	if opt.Chrome {
+		run.chromes = make([]*obs.ChromeSink, len(cells))
+	}
 	err := r.ForEach(len(cells), func(i int) error {
-		res, err := r.Measure(cells[i].Config, cells[i].Workload, cells[i].IssuedAt)
-		if err != nil {
-			return fmt.Errorf("cell %d (%s group=%d at=%v): %w",
-				i, cells[i].Workload.Name(), cells[i].Config.CR.GroupSize, cells[i].IssuedAt, err)
+		var bus *obs.Bus
+		if opt.Trace || opt.JSONL || opt.Chrome {
+			bus = obs.NewBus()
 		}
-		out[i] = res
+		if opt.Trace {
+			run.mems[i] = &obs.MemorySink{}
+			bus.AddSink(run.mems[i])
+		}
+		if opt.JSONL {
+			run.jsonls[i] = &bytes.Buffer{}
+			bus.AddSink(obs.NewJSONL(run.jsonls[i]))
+		}
+		if opt.Chrome {
+			// PID and label depend only on the cell index, so the merged
+			// Chrome file is byte-identical at any worker count too.
+			run.chromes[i] = obs.NewChrome()
+			run.chromes[i].PID = i + 1
+			run.chromes[i].ProcessName = cells[i].label(i)
+			bus.AddSink(run.chromes[i])
+		}
+		res, err := r.measure(cells[i], bus)
+		if err != nil {
+			return fmt.Errorf("%s: %w", cells[i].label(i), err)
+		}
+		run.Results[i] = res
 		return nil
 	})
-	return out, err
+	return run, err
+}
+
+// RenderTimeline writes the merged text timeline: each cell's events in
+// cell order under a stable header line.
+func (run *TracedRun) RenderTimeline(w io.Writer) error {
+	if run.mems == nil {
+		return fmt.Errorf("harness: timeline was not captured; set TraceOptions.Trace")
+	}
+	for i, m := range run.mems {
+		if _, err := fmt.Fprintf(w, "=== %s ===\n", run.Cells[i].label(i)); err != nil {
+			return err
+		}
+		m.Render(w)
+	}
+	return nil
+}
+
+// WriteJSONL writes the merged JSON Lines trace: one cell-header object per
+// cell, then that cell's events, in cell order.
+func (run *TracedRun) WriteJSONL(w io.Writer) error {
+	if run.jsonls == nil {
+		return fmt.Errorf("harness: JSONL trace was not captured; set TraceOptions.JSONL")
+	}
+	for i, buf := range run.jsonls {
+		c := run.Cells[i]
+		hdr, err := json.Marshal(struct {
+			Cell     int      `json:"cell"`
+			Workload string   `json:"workload"`
+			Group    int      `json:"group"`
+			At       sim.Time `json:"at"`
+		}{i, c.Workload.Name(), c.Config.CR.GroupSize, c.IssuedAt})
+		if err != nil {
+			return err
+		}
+		if _, err := w.Write(append(hdr, '\n')); err != nil {
+			return err
+		}
+		if _, err := w.Write(buf.Bytes()); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// WriteChrome writes the merged Chrome trace, one process per cell.
+func (run *TracedRun) WriteChrome(w io.Writer) error {
+	if run.chromes == nil {
+		return fmt.Errorf("harness: Chrome trace was not captured; set TraceOptions.Chrome")
+	}
+	return obs.RenderChromeMulti(w, run.chromes)
 }
 
 // ForEach runs fn(0..n-1) on the worker pool and waits for all of them.
@@ -181,9 +294,6 @@ func (r *Runner) Run(cells []Cell) ([]Result, error) {
 func (r *Runner) ForEach(n int, fn func(i int) error) error {
 	if n <= 0 {
 		return nil
-	}
-	if r.sharded {
-		return ForEachSharded(r.workers, n, fn)
 	}
 	workers := r.workers
 	if workers > n {

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"reflect"
@@ -9,7 +10,11 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"gbcr/internal/cr/protocol"
+	"gbcr/internal/fault"
+	"gbcr/internal/obs"
 	"gbcr/internal/sim"
+	"gbcr/internal/storage/tier"
 	"gbcr/internal/workload"
 	"gbcr/internal/workload/hpl"
 )
@@ -233,5 +238,208 @@ func TestRunnerConcurrentBaselineDedup(t *testing.T) {
 	}
 	if hits, misses := r.CacheStats(); misses != 1 || hits != len(times)-1 {
 		t.Fatalf("hits=%d misses=%d, want %d/1", hits, misses, len(times)-1)
+	}
+}
+
+// equivCells is the equivalence matrix: all three protocols, two group
+// sizes, repeated issuance times (exercising the baseline memo), and the
+// tiered-storage hierarchy. Eight cells so width 8 puts one cell per worker.
+func equivCells() []Cell {
+	const n = 4
+	w := workload.CommGroups{N: n, CommGroupSize: 2, Iters: 60,
+		Chunk: 50 * sim.Millisecond, FootprintMB: 20}
+	group := func(gs int) ClusterConfig {
+		cfg := smallCluster(n)
+		cfg.CR.GroupSize = gs
+		cfg.CR.DefaultFootprint = 20 << 20
+		return cfg
+	}
+	wholejob := group(0)
+	wholejob.CR.Protocol = protocol.WholeJob
+	uncoord := group(0)
+	uncoord.CR.Protocol = protocol.Uncoordinated
+	uncoord.CR.HelperEnabled = false
+	uncoord.MPI.LogMessages = true
+	tiered := group(2)
+	tiered.Tiers.Mode = tier.ModeHierarchy
+	tiered.Tiers.Replicas = 2
+	return []Cell{
+		{Config: group(2), Workload: w, IssuedAt: 1 * sim.Second},
+		{Config: group(2), Workload: w, IssuedAt: 2 * sim.Second},
+		{Config: group(4), Workload: w, IssuedAt: 1 * sim.Second},
+		{Config: wholejob, Workload: w, IssuedAt: 1 * sim.Second},
+		{Config: wholejob, Workload: w, IssuedAt: 2 * sim.Second},
+		{Config: uncoord, Workload: w, IssuedAt: 1 * sim.Second},
+		{Config: tiered, Workload: w, IssuedAt: 1 * sim.Second},
+		{Config: tiered, Workload: w, IssuedAt: 2 * sim.Second},
+	}
+}
+
+// tracedOutputs holds every merged artifact of one RunTraced execution.
+type tracedOutputs struct {
+	timeline, jsonl, chrome, metrics []byte
+	results                          []Result
+}
+
+// captureTraced runs cells on a fresh Runner of the given width with every
+// capture and an aggregate installed, and returns the merged outputs.
+func captureTraced(t *testing.T, cells []Cell, workers int) tracedOutputs {
+	t.Helper()
+	r := NewRunner(workers)
+	agg := obs.NewAggregate()
+	r.SetAggregate(agg)
+	run, err := r.RunTraced(cells, TraceOptions{Trace: true, JSONL: true, Chrome: true})
+	if err != nil {
+		t.Fatalf("RunTraced(workers=%d): %v", workers, err)
+	}
+	var out tracedOutputs
+	var buf bytes.Buffer
+	if err := run.RenderTimeline(&buf); err != nil {
+		t.Fatal(err)
+	}
+	out.timeline = append([]byte(nil), buf.Bytes()...)
+	buf.Reset()
+	if err := run.WriteJSONL(&buf); err != nil {
+		t.Fatal(err)
+	}
+	out.jsonl = append([]byte(nil), buf.Bytes()...)
+	buf.Reset()
+	if err := run.WriteChrome(&buf); err != nil {
+		t.Fatal(err)
+	}
+	out.chrome = append([]byte(nil), buf.Bytes()...)
+	buf.Reset()
+	if err := agg.Snapshot().WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	out.metrics = append([]byte(nil), buf.Bytes()...)
+	out.results = run.Results
+	return out
+}
+
+// TestShardedEquivalenceMatrix is the committed regression for the
+// Runner's merge contract: byte-identical obs traces (text timeline, JSONL,
+// Chrome) and equal metrics aggregates and CycleReports between a width-1
+// Runner and widths S in {2,4,8}, across all three protocols, two issuance
+// times, and the tiered-storage hierarchy. Tracing must not change a
+// result either: the traced results equal plain Run's. Run under -race in
+// CI (runner-equivalence job).
+func TestShardedEquivalenceMatrix(t *testing.T) {
+	cells := equivCells()
+	want := captureTraced(t, cells, 1)
+	if len(want.results) != len(cells) {
+		t.Fatalf("got %d results for %d cells", len(want.results), len(cells))
+	}
+	plain, err := NewRunner(1).Run(cells)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(plain, want.results) {
+		t.Fatal("traced results differ from untraced Run")
+	}
+	for _, workers := range []int{2, 4, 8} {
+		t.Run(fmt.Sprintf("S=%d", workers), func(t *testing.T) {
+			got := captureTraced(t, cells, workers)
+			if !bytes.Equal(got.timeline, want.timeline) {
+				t.Errorf("text timeline differs from serial (%d vs %d bytes)",
+					len(got.timeline), len(want.timeline))
+			}
+			if !bytes.Equal(got.jsonl, want.jsonl) {
+				t.Errorf("JSONL trace differs from serial (%d vs %d bytes)",
+					len(got.jsonl), len(want.jsonl))
+			}
+			if !bytes.Equal(got.chrome, want.chrome) {
+				t.Errorf("Chrome trace differs from serial (%d vs %d bytes)",
+					len(got.chrome), len(want.chrome))
+			}
+			if !bytes.Equal(got.metrics, want.metrics) {
+				t.Errorf("metrics aggregate differs from serial:\nserial: %s\nS=%d:  %s",
+					want.metrics, workers, got.metrics)
+			}
+			if !reflect.DeepEqual(got.results, want.results) {
+				t.Errorf("results (cycle reports included) differ from serial")
+			}
+		})
+	}
+}
+
+// TestShardedFaultScenarioEquivalence spreads a batch of -faults
+// availability scenarios over Runner.ForEach: each scenario is one serial
+// restart chain (RunScenario), and the batch's traces and results must be
+// identical at any worker count.
+func TestShardedFaultScenarioEquivalence(t *testing.T) {
+	const n = 4
+	w := scenarioRing(n)
+	specs := []string{
+		"crash:phase=write,epoch=2,rank=1;seed=3",
+		"crash:phase=sync,epoch=1,rank=0;seed=5",
+		"outage@650ms+200ms;crash:phase=write,epoch=2,rank=2;seed=7",
+		"memloss@2s:count=2;seed=5",
+	}
+	scns := make([]fault.Scenario, len(specs))
+	for i, spec := range specs {
+		scns[i] = mustParse(t, spec)
+	}
+	runBatch := func(workers int) ([][]byte, []AvailabilityResult) {
+		traces := make([][]byte, len(specs))
+		results := make([]AvailabilityResult, len(specs))
+		err := NewRunner(workers).ForEach(len(specs), func(i int) error {
+			cfg := smallCluster(n)
+			cfg.CR.GroupSize = 2
+			cfg.CR.DefaultFootprint = 5 << 20
+			if strings.Contains(specs[i], "memloss") {
+				cfg.Tiers.Mode = tier.ModeHierarchy
+				cfg.Tiers.Replicas = 2
+			}
+			var buf bytes.Buffer
+			js := obs.NewJSONL(&buf)
+			res, err := RunScenario(cfg, w, scns[i], 600*sim.Millisecond, obs.NewBus(js))
+			if err != nil {
+				return fmt.Errorf("scenario %d: %w", i, err)
+			}
+			if js.Err() != nil {
+				return js.Err()
+			}
+			res.FinalInst = nil // instances carry pointers; compare the numbers
+			traces[i] = buf.Bytes()
+			results[i] = res
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("batch (workers=%d): %v", workers, err)
+		}
+		return traces, results
+	}
+	wantTraces, wantResults := runBatch(1)
+	for _, workers := range []int{2, 4} {
+		gotTraces, gotResults := runBatch(workers)
+		for i := range specs {
+			if !bytes.Equal(gotTraces[i], wantTraces[i]) {
+				t.Errorf("workers=%d scenario %d: trace differs from serial (%d vs %d bytes)",
+					workers, i, len(gotTraces[i]), len(wantTraces[i]))
+			}
+		}
+		if !reflect.DeepEqual(gotResults, wantResults) {
+			t.Errorf("workers=%d: availability results differ from serial", workers)
+		}
+	}
+}
+
+// TestRunTracedValidation covers the capture accessors' rejection paths: a
+// capture that was not requested cannot be written.
+func TestRunTracedValidation(t *testing.T) {
+	run, err := NewRunner(2).RunTraced(equivCells()[:2], TraceOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := run.RenderTimeline(&buf); err == nil {
+		t.Fatal("timeline rendered without capture")
+	}
+	if err := run.WriteJSONL(&buf); err == nil {
+		t.Fatal("JSONL written without capture")
+	}
+	if err := run.WriteChrome(&buf); err == nil {
+		t.Fatal("Chrome written without capture")
 	}
 }

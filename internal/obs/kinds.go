@@ -84,13 +84,6 @@ const (
 	KindCorrupt  = "corrupt"
 	KindMemLoss  = "memloss"
 	KindBBOutage = "bb-outage"
-
-	// Shard layer: the sharded engine's diagnostics (ShardTrace lanes and
-	// Chrome shard tracks, never the model timeline).
-	KindShardAdvance = "shard-advance"
-	KindShardStall   = "lookahead-stall"
-	KindShardSend    = "cross-shard-send"
-	KindShardRecv    = "cross-shard-recv"
 )
 
 // allKinds lists every registered kind once, in declaration order. A test
@@ -109,7 +102,6 @@ var allKinds = []string{
 	KindRequest, KindTurn, KindGroupDone, KindAllDrained, KindCycleAbort,
 	KindCycleRetry, KindCycleDone,
 	KindCrash, KindOutage, KindCorrupt, KindMemLoss, KindBBOutage,
-	KindShardAdvance, KindShardStall, KindShardSend, KindShardRecv,
 }
 
 // known is the vocabulary as a set, built once.

@@ -112,7 +112,7 @@ func (m *MemorySink) Summary() string {
 			who = fmt.Sprintf("rank %d", r)
 		}
 		fmt.Fprintf(&b, "%-8s:", who)
-		for l := LayerKernel; l <= LayerShard; l++ {
+		for l := Layer(0); int(l) < len(layerNames); l++ {
 			if n := counts[key{r, l}]; n > 0 {
 				fmt.Fprintf(&b, " %s=%d", l, n)
 			}

@@ -24,7 +24,10 @@ import (
 	"gbcr/internal/sim"
 )
 
-// Layer identifies which part of the stack emitted an event or owns a metric.
+// Layer identifies which part of the simulated stack emitted an event or
+// owns a metric. Layers name parts of the model only; how cells are
+// scheduled on host cores never appears on the bus. layerNames is the single
+// list of layers: code that iterates over layers takes its bound from it.
 type Layer uint8
 
 // Layers, bottom-up. LayerFault is the fault-injection subsystem
@@ -32,12 +35,6 @@ type Layer uint8
 // dropped connection-management packets, snapshot corruption — emit on it so
 // every exported timeline shows what was done to the run alongside how the
 // run reacted.
-// LayerShard is the sharded engine itself (internal/sim's ShardSet):
-// window advances, lookahead stalls, and cross-shard message traffic. Shard
-// events set Rank to the shard index. They travel on their own ShardTrace
-// lanes rather than the model bus — window boundaries depend on real-time
-// interleaving, so folding them into the model timeline would break the
-// byte-identical serial-vs-sharded trace contract.
 const (
 	LayerKernel Layer = iota
 	LayerStorage
@@ -45,10 +42,9 @@ const (
 	LayerMPI
 	LayerCR
 	LayerFault
-	LayerShard
 )
 
-var layerNames = [...]string{"kernel", "storage", "ib", "mpi", "cr", "fault", "shard"}
+var layerNames = [...]string{"kernel", "storage", "ib", "mpi", "cr", "fault"}
 
 func (l Layer) String() string {
 	if int(l) < len(layerNames) {

@@ -37,16 +37,25 @@ func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
 
 // String formats the time with adaptive units.
 func (t Time) String() string {
+	if t < 0 {
+		// Format the magnitude as unsigned: negating the most negative Time
+		// overflows back to itself, but its unsigned negation is exact.
+		return "-" + formatNanos(-uint64(t))
+	}
+	return formatNanos(uint64(t))
+}
+
+// formatNanos formats a non-negative duration of ns nanoseconds with
+// adaptive units.
+func formatNanos(ns uint64) string {
 	switch {
-	case t < 0:
-		return "-" + (-t).String()
-	case t < Microsecond:
-		return fmt.Sprintf("%dns", int64(t))
-	case t < Millisecond:
-		return fmt.Sprintf("%.3gus", float64(t)/float64(Microsecond))
-	case t < Second:
-		return fmt.Sprintf("%.4gms", float64(t)/float64(Millisecond))
+	case ns < uint64(Microsecond):
+		return fmt.Sprintf("%dns", ns)
+	case ns < uint64(Millisecond):
+		return fmt.Sprintf("%.3gus", float64(ns)/float64(Microsecond))
+	case ns < uint64(Second):
+		return fmt.Sprintf("%.4gms", float64(ns)/float64(Millisecond))
 	default:
-		return fmt.Sprintf("%.6gs", t.Seconds())
+		return fmt.Sprintf("%.6gs", float64(ns)/float64(Second))
 	}
 }
