@@ -93,3 +93,50 @@ func TestUncoordLogBoundedByInterval(t *testing.T) {
 			float64(heap)/(1<<20), heapCeiling>>20)
 	}
 }
+
+// TestSizeOnlyLogHeapBounded runs the logging row of ExtensionLogging
+// (CommGroups, 32 ranks in communication groups of 8, 1 MiB messages,
+// sender-based logging, one group checkpoint at 2 s) and checks that the
+// sender log's modelled volume is large while the live heap stays small:
+// the exchange is size-only, so the log records lengths, not copies. With
+// real 1 MiB buffers, everything logged after the checkpoint — gigabytes —
+// would still be live at the end of the run.
+func TestSizeOnlyLogHeapBounded(t *testing.T) {
+	const n = 32
+	cfg := PaperCluster(n)
+	cfg.MPI.LogMessages = true
+	cfg.CR.GroupSize = 8
+	c, err := NewCluster(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := workload.CommGroups{
+		N: n, CommGroupSize: 8, Iters: 500,
+		Chunk: 5 * sim.Millisecond, MsgBytes: 1 << 20, FootprintMB: 180,
+	}
+	if _, err := w.Launch(c.Job); err != nil {
+		t.Fatal(err)
+	}
+	c.Coord.ScheduleCheckpoint(2 * sim.Second)
+	if err := c.K.Run(); err != nil {
+		t.Fatal(err)
+	}
+	var logged int64
+	for i := 0; i < n; i++ {
+		logged += c.Job.Rank(i).Stats().BytesLogged
+	}
+	runtime.GC()
+	sample := []metrics.Sample{{Name: "/gc/heap/live:bytes"}}
+	metrics.Read(sample)
+	runtime.KeepAlive(c)
+	heap := sample[0].Value.Uint64()
+	t.Logf("logged %.2f GB, live heap %.1f MB", float64(logged)/(1<<30), float64(heap)/(1<<20))
+	if logged <= 1<<30 {
+		t.Fatalf("logged %d bytes, want over 1 GB: the run did not exercise the sender log", logged)
+	}
+	const heapCeiling = 64 << 20
+	if heap > heapCeiling {
+		t.Errorf("live heap %.1f MB with the finished logging run reachable, want at most %d MB",
+			float64(heap)/(1<<20), heapCeiling>>20)
+	}
+}

@@ -202,6 +202,42 @@ type workItem struct {
 	payload any
 }
 
+// flight is an in-band packet on the wire toward peer.
+type flight struct {
+	peer *Endpoint
+	it   workItem
+}
+
+// fifo is a growable ring buffer; once grown to its high-water mark, push
+// and pop allocate nothing.
+type fifo[T any] struct {
+	buf     []T
+	head, n int
+}
+
+func (q *fifo[T]) len() int { return q.n }
+
+func (q *fifo[T]) push(v T) {
+	if q.n == len(q.buf) {
+		grown := make([]T, max(8, 2*len(q.buf)))
+		for i := 0; i < q.n; i++ {
+			grown[i] = q.buf[(q.head+i)%len(q.buf)]
+		}
+		q.buf, q.head = grown, 0
+	}
+	q.buf[(q.head+q.n)%len(q.buf)] = v
+	q.n++
+}
+
+func (q *fifo[T]) pop() T {
+	var zero T
+	v := q.buf[q.head]
+	q.buf[q.head] = zero // drop the reference for the collector
+	q.head = (q.head + 1) % len(q.buf)
+	q.n--
+	return v
+}
+
 // Stats counts endpoint activity.
 type Stats struct {
 	ConnectsInitiated int
@@ -223,8 +259,16 @@ type Endpoint struct {
 
 	conns      map[int]*conn
 	egressFree sim.Time
-	work       []workItem
+	work       fifo[workItem]
 	deferred   []workItem
+
+	// In-band packets on the wire, in arrival order: egress is serial and
+	// the latency constant, so an endpoint's arrivals fire in the order it
+	// transmitted them. Each arrival event pops the head, which lets
+	// transmit schedule the pre-bound arrive instead of a per-packet
+	// closure.
+	inflight fifo[flight]
+	arrive   func()
 
 	stats Stats
 
@@ -261,6 +305,10 @@ func (f *Fabric) AddEndpoint(id int) (*Endpoint, error) {
 		return nil, fmt.Errorf("ib: duplicate endpoint id %d", id)
 	}
 	ep := &Endpoint{f: f, id: id, conns: make(map[int]*conn)}
+	ep.arrive = func() {
+		fl := ep.inflight.pop()
+		fl.peer.receive(fl.it)
+	}
 	f.eps[id] = ep
 	return ep, nil
 }
@@ -315,8 +363,8 @@ func (ep *Endpoint) transmit(dst int, size int64, payload any) error {
 	tx := sim.Time(float64(size) / ep.f.cfg.LinkBW * float64(sim.Second))
 	ep.egressFree = start + tx
 	arrival := ep.egressFree + ep.f.cfg.Latency
-	src := ep.id
-	k.At(arrival, func() { peer.receive(workItem{src: src, size: size, payload: payload}) })
+	ep.inflight.push(flight{peer: peer, it: workItem{src: ep.id, size: size, payload: payload}})
+	k.At(arrival, ep.arrive)
 	ep.stats.MessagesSent++
 	ep.stats.BytesSent += size
 	m := ep.f.bus.Metrics()
@@ -504,22 +552,20 @@ func (ep *Endpoint) receive(it workItem) {
 	if it.oob && ep.OnOOBImmediate != nil && ep.OnOOBImmediate(it.src, it.payload) {
 		return
 	}
-	ep.work = append(ep.work, it)
+	ep.work.push(it)
 	if ep.OnWork != nil {
 		ep.OnWork()
 	}
 }
 
 // PendingWork reports whether Progress has queued packets to process.
-func (ep *Endpoint) PendingWork() bool { return len(ep.work) > 0 }
+func (ep *Endpoint) PendingWork() bool { return ep.work.len() > 0 }
 
 // Progress processes all queued arrivals: connection-management handshakes,
 // flush markers, and application deliveries (via OnMessage/OnOOB).
 func (ep *Endpoint) Progress() {
-	for len(ep.work) > 0 {
-		it := ep.work[0]
-		ep.work = ep.work[1:]
-		ep.process(it)
+	for ep.work.len() > 0 {
+		ep.process(ep.work.pop())
 	}
 }
 
@@ -529,7 +575,9 @@ func (ep *Endpoint) Reexamine() {
 	if len(ep.deferred) == 0 {
 		return
 	}
-	ep.work = append(ep.work, ep.deferred...)
+	for _, it := range ep.deferred {
+		ep.work.push(it)
+	}
 	ep.deferred = nil
 	ep.Progress()
 }

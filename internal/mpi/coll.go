@@ -51,15 +51,33 @@ func (e *Env) Barrier(c *Comm) {
 		dst := (me + k) % n
 		src := (me - k%n + n) % n
 		rreq := e.irecvInternal(c, src, tag)
-		sreq := e.isendInternal(c, dst, tag, nil)
+		sreq := e.isendInternal(c, dst, tag, payload{}) // zero-length token
 		e.waitInternal(sreq)
 		e.waitInternal(rreq)
+		e.r.release(sreq)
+		e.r.release(rreq)
 	}
 }
 
 // Bcast distributes root's data to all members (binomial tree). Every rank
 // returns the payload; only root's input is significant.
 func (e *Env) Bcast(c *Comm, root int, data []byte) []byte {
+	return e.bcast(c, root, bytesPayload(data)).data
+}
+
+// BcastN is Bcast of a size-only n-byte message, for broadcasts whose
+// contents nobody reads: the timing is that of n real bytes, with nothing
+// allocated or copied. Every rank returns the broadcast length; only root's
+// n is significant.
+func (e *Env) BcastN(c *Comm, root int, n int64) int64 {
+	var body payload
+	if c.myRank == root {
+		body = sizeOnly(n)
+	}
+	return e.bcast(c, root, body).size
+}
+
+func (e *Env) bcast(c *Comm, root int, data payload) payload {
 	e.checkMember(c)
 	e.enter()
 	defer e.exit()
@@ -76,7 +94,8 @@ func (e *Env) Bcast(c *Comm, root int, data []byte) []byte {
 			src := (me - mask + n) % n
 			rreq := e.irecvInternal(c, src, tag)
 			e.waitInternal(rreq)
-			data = rreq.data
+			data = rreq.body
+			e.r.release(rreq)
 			break
 		}
 		mask <<= 1
@@ -88,6 +107,7 @@ func (e *Env) Bcast(c *Comm, root int, data []byte) []byte {
 			dst := (me + mask) % n
 			sreq := e.isendInternal(c, dst, tag, data)
 			e.waitInternal(sreq)
+			e.r.release(sreq)
 		}
 		mask >>= 1
 	}
@@ -117,7 +137,7 @@ func (e *Env) ReduceF64(c *Comm, root int, in []float64, op Op) []float64 {
 				src := (srcRel + root) % n
 				rreq := e.irecvInternal(c, src, tag)
 				e.waitInternal(rreq)
-				part := BytesToF64(rreq.data)
+				part := BytesToF64(rreq.body.data)
 				if len(part) != len(acc) {
 					//lint:allow-panic mismatched reduce buffers are an application bug; real MPI aborts
 					panic("mpi: ReduceF64 length mismatch across ranks")
@@ -129,7 +149,7 @@ func (e *Env) ReduceF64(c *Comm, root int, in []float64, op Op) []float64 {
 		} else {
 			dstRel := rel &^ mask
 			dst := (dstRel + root) % n
-			sreq := e.isendInternal(c, dst, tag, F64ToBytes(acc))
+			sreq := e.isendInternal(c, dst, tag, bytesPayload(F64ToBytes(acc)))
 			e.waitInternal(sreq)
 			break
 		}
@@ -171,10 +191,10 @@ func (e *Env) Allgather(c *Comm, data []byte) [][]byte {
 	for s := 0; s < n-1; s++ {
 		blk := (me - s + n) % n
 		rreq := e.irecvInternal(c, left, tag)
-		sreq := e.isendInternal(c, right, tag, out[blk])
+		sreq := e.isendInternal(c, right, tag, bytesPayload(out[blk]))
 		e.waitInternal(sreq)
 		e.waitInternal(rreq)
-		out[(me-s-1+n)%n] = rreq.data
+		out[(me-s-1+n)%n] = rreq.body.data
 	}
 	return out
 }
@@ -188,7 +208,7 @@ func (e *Env) Gather(c *Comm, root int, data []byte) [][]byte {
 	tag := c.nextCollTag()
 	n, me := c.Size(), c.myRank
 	if me != root {
-		sreq := e.isendInternal(c, root, tag, data)
+		sreq := e.isendInternal(c, root, tag, bytesPayload(data))
 		e.waitInternal(sreq)
 		return nil
 	}
@@ -202,7 +222,7 @@ func (e *Env) Gather(c *Comm, root int, data []byte) [][]byte {
 	}
 	for _, rq := range reqs {
 		e.waitInternal(rq)
-		out[rq.status.Source] = rq.data
+		out[rq.status.Source] = rq.body.data
 	}
 	return out
 }
@@ -223,7 +243,7 @@ func (e *Env) Scatter(c *Comm, root int, blocks [][]byte) []byte {
 		reqs := make([]*Request, 0, n-1)
 		for i := 0; i < n; i++ {
 			if i != root {
-				reqs = append(reqs, e.isendInternal(c, i, tag, blocks[i]))
+				reqs = append(reqs, e.isendInternal(c, i, tag, bytesPayload(blocks[i])))
 			}
 		}
 		for _, rq := range reqs {
@@ -233,7 +253,7 @@ func (e *Env) Scatter(c *Comm, root int, blocks [][]byte) []byte {
 	}
 	rreq := e.irecvInternal(c, root, tag)
 	e.waitInternal(rreq)
-	return rreq.data
+	return rreq.body.data
 }
 
 // CollectiveCheckpoint agrees collectively whether a checkpoint request is
@@ -295,10 +315,10 @@ func (e *Env) Alltoall(c *Comm, blocks [][]byte) [][]byte {
 		dst := (me + s) % n
 		src := (me - s + n) % n
 		rreq := e.irecvInternal(c, src, tag)
-		sreq := e.isendInternal(c, dst, tag, blocks[dst])
+		sreq := e.isendInternal(c, dst, tag, bytesPayload(blocks[dst]))
 		e.waitInternal(sreq)
 		e.waitInternal(rreq)
-		out[src] = rreq.data
+		out[src] = rreq.body.data
 	}
 	return out
 }
@@ -354,7 +374,7 @@ func (e *Env) ScanF64(c *Comm, in []float64, op Op) []float64 {
 	if me > 0 {
 		rreq := e.irecvInternal(c, me-1, tag)
 		e.waitInternal(rreq)
-		prev := BytesToF64(rreq.data)
+		prev := BytesToF64(rreq.body.data)
 		if len(prev) != len(acc) {
 			//lint:allow-panic mismatched scan buffers are an application bug; real MPI aborts
 			panic("mpi: ScanF64 length mismatch across ranks")
@@ -364,7 +384,7 @@ func (e *Env) ScanF64(c *Comm, in []float64, op Op) []float64 {
 		}
 	}
 	if me < n-1 {
-		sreq := e.isendInternal(c, me+1, tag, F64ToBytes(acc))
+		sreq := e.isendInternal(c, me+1, tag, bytesPayload(F64ToBytes(acc)))
 		e.waitInternal(sreq)
 	}
 	return acc

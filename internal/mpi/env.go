@@ -22,7 +22,7 @@ type Request struct {
 	peerComm  int // comm rank of peer (or ANY for receives)
 	peerWorld int // world rank of peer (send only)
 	tag       int
-	data      []byte
+	body      payload
 	complete  bool
 	status    Status
 	recvID    uint64
@@ -34,8 +34,9 @@ type Request struct {
 // Done reports whether the operation has completed.
 func (req *Request) Done() bool { return req.complete }
 
-// Data returns a completed receive's payload.
-func (req *Request) Data() []byte { return req.data }
+// Data returns a completed receive's payload, nil for a size-only message
+// (Status().Size still reports its length).
+func (req *Request) Data() []byte { return req.body.data }
 
 // Status returns a completed receive's envelope.
 func (req *Request) Status() Status { return req.status }
@@ -182,19 +183,21 @@ func (e *Env) Isend(c *Comm, dst, tag int, data []byte) *Request {
 	}
 	e.enter()
 	defer e.exit()
-	return e.isendInternal(c, dst, tag, data)
+	return e.isendInternal(c, dst, tag, bytesPayload(data))
 }
 
 // isendInternal posts a send without the library entry/exit bookkeeping;
-// collectives use it while already inside the library.
-func (e *Env) isendInternal(c *Comm, dst, tag int, data []byte) *Request {
+// collectives use it while already inside the library. Every send — real
+// bytes or size-only — goes through here.
+func (e *Env) isendInternal(c *Comm, dst, tag int, body payload) *Request {
 	r := e.r
 	world := c.World(dst)
 	if world == r.world {
 		//lint:allow-panic self-send is unsupported by this model and is an application bug
 		panic(fmt.Sprintf("mpi: rank %d sending to itself", r.world))
 	}
-	req := &Request{r: r, isSend: true, comm: c, peerComm: dst, peerWorld: world, tag: tag}
+	req := r.newRequest()
+	*req = Request{r: r, isSend: true, comm: c, peerComm: dst, peerWorld: world, tag: tag}
 	r.trafficTo[world]++
 	r.sendSeqTo[world]++
 	seq := r.sendSeqTo[world]
@@ -211,25 +214,21 @@ func (e *Env) isendInternal(c *Comm, dst, tag int, data []byte) *Request {
 			bw = 2 << 30
 		}
 		r.stats.MsgsLogged++
-		r.stats.BytesLogged += int64(len(data))
-		logged := make([]byte, len(data))
-		copy(logged, data)
-		r.appendLog(world, logEntry{Comm: c.id, SrcComm: c.myRank, Tag: tag, Seq: seq, Data: logged})
-		e.p.Sleep(sim.Time(float64(len(data)) / bw * float64(sim.Second)))
+		r.stats.BytesLogged += body.size
+		r.appendLog(world, logEntry{Comm: c.id, SrcComm: c.myRank, Tag: tag, Seq: seq, Body: body.clone()})
+		e.p.Sleep(sim.Time(float64(body.size) / bw * float64(sim.Second)))
 	}
-	if int64(len(data)) <= r.job.cfg.EagerThreshold {
+	if body.size <= r.job.cfg.EagerThreshold {
 		// Eager: copy into a communication buffer; the request completes
 		// immediately (buffered-send semantics). If the destination is
 		// gated this is the paper's *message buffering*.
-		buf := make([]byte, len(data))
-		copy(buf, data)
 		req.complete = true
 		r.stats.EagerSent++
 		r.job.bus.Metrics().Counter(obs.LayerMPI, "eager_sent").Inc()
 		r.post(world, outItem{
-			kind:    outEager,
-			size:    eagerHdrSize + int64(len(buf)),
-			payload: wireEager{comm: c.id, srcComm: c.myRank, tag: tag, seq: seq, data: buf},
+			kind: outEager,
+			size: eagerHdrSize + body.size,
+			pkt:  r.job.newEager(wireEager{comm: c.id, srcComm: c.myRank, tag: tag, seq: seq, body: body.clone()}),
 		})
 		return req
 	}
@@ -240,13 +239,13 @@ func (e *Env) isendInternal(c *Comm, dst, tag int, data []byte) *Request {
 	r.job.bus.Metrics().Counter(obs.LayerMPI, "rendezvous_sent").Inc()
 	r.reqSeq++
 	id := r.reqSeq
-	req.data = data
+	req.body = body
 	r.sendReqs[id] = req
 	r.post(world, outItem{
 		kind: outCtl,
 		size: ctlPktSize,
-		payload: wireRTS{comm: c.id, srcComm: c.myRank, tag: tag,
-			size: int64(len(data)), seq: seq, sendID: id},
+		pkt: wireRTS{comm: c.id, srcComm: c.myRank, tag: tag,
+			size: body.size, seq: seq, sendID: id},
 	})
 	return req
 }
@@ -261,12 +260,13 @@ func (e *Env) Irecv(c *Comm, src, tag int) *Request {
 
 func (e *Env) irecvInternal(c *Comm, src, tag int) *Request {
 	r := e.r
-	req := &Request{r: r, comm: c, peerComm: src, tag: tag}
-	if msg := r.matchUnexpected(req); msg != nil {
+	req := r.newRequest()
+	*req = Request{r: r, comm: c, peerComm: src, tag: tag}
+	if msg, ok := r.matchUnexpected(req); ok {
 		if msg.eager {
-			r.deliver(req, msg)
+			r.deliver(req, &msg)
 		} else {
-			r.grantRendezvous(req, msg)
+			r.grantRendezvous(req, &msg)
 		}
 		return req
 	}
@@ -285,7 +285,7 @@ func (e *Env) Wait(req *Request) Status {
 
 func (e *Env) waitInternal(req *Request) {
 	for !req.complete {
-		if e.p.Park(fmt.Sprintf("MPI wait (rank %d)", e.r.world)) {
+		if e.p.Park(e.r.waitReason) {
 			e.runSafePoint()
 		}
 	}
@@ -323,7 +323,7 @@ func (e *Env) Waitany(reqs ...*Request) int {
 				return i
 			}
 		}
-		if e.p.Park(fmt.Sprintf("MPI waitany (rank %d)", e.r.world)) {
+		if e.p.Park(e.r.waitanyReason) {
 			e.runSafePoint()
 		}
 	}
@@ -338,8 +338,9 @@ func (e *Env) Send(c *Comm, dst, tag int, data []byte) {
 	}
 	e.enter()
 	defer e.exit()
-	req := e.isendInternal(c, dst, tag, data)
+	req := e.isendInternal(c, dst, tag, bytesPayload(data))
 	e.waitInternal(req)
+	e.r.release(req)
 }
 
 // Recv is a blocking receive returning the payload and its envelope.
@@ -348,7 +349,9 @@ func (e *Env) Recv(c *Comm, src, tag int) ([]byte, Status) {
 	defer e.exit()
 	req := e.irecvInternal(c, src, tag)
 	e.waitInternal(req)
-	return req.data, req.status
+	data, st := req.body.data, req.status
+	e.r.release(req)
+	return data, st
 }
 
 // Iprobe reports, without blocking or consuming the message, whether a
@@ -361,13 +364,9 @@ func (e *Env) Iprobe(c *Comm, src, tag int) (bool, Status) {
 
 func (e *Env) iprobeInternal(c *Comm, src, tag int) (bool, Status) {
 	probe := &Request{r: e.r, comm: c, peerComm: src, tag: tag}
-	for _, msg := range e.r.unexpected {
-		if probe.matches(msg) {
-			size := msg.size
-			if msg.eager {
-				size = int64(len(msg.data))
-			}
-			return true, Status{Source: msg.srcComm, Tag: msg.tag, Size: size}
+	for i := range e.r.unexpected {
+		if msg := &e.r.unexpected[i]; probe.matches(msg) {
+			return true, Status{Source: msg.srcComm, Tag: msg.tag, Size: msg.body.size}
 		}
 	}
 	return false, Status{}
@@ -382,7 +381,7 @@ func (e *Env) Probe(c *Comm, src, tag int) Status {
 		if ok, st := e.iprobeInternal(c, src, tag); ok {
 			return st
 		}
-		if e.p.Park(fmt.Sprintf("MPI probe (rank %d)", e.r.world)) {
+		if e.p.Park(e.r.probeReason) {
 			e.runSafePoint()
 		}
 	}
@@ -391,11 +390,28 @@ func (e *Env) Probe(c *Comm, src, tag int) Status {
 // Sendrecv exchanges messages with possibly different peers, avoiding the
 // deadlock of paired blocking calls.
 func (e *Env) Sendrecv(c *Comm, dst, sendTag int, data []byte, src, recvTag int) ([]byte, Status) {
+	body, st := e.sendrecv(c, dst, sendTag, bytesPayload(data), src, recvTag)
+	return body.data, st
+}
+
+// SendrecvN is Sendrecv with a size-only n-byte message, for exchanges
+// whose contents nobody reads: the timing is that of n real bytes, with
+// nothing allocated or copied. The received message's length is in the
+// returned Status.
+func (e *Env) SendrecvN(c *Comm, dst, sendTag int, n int64, src, recvTag int) Status {
+	_, st := e.sendrecv(c, dst, sendTag, sizeOnly(n), src, recvTag)
+	return st
+}
+
+func (e *Env) sendrecv(c *Comm, dst, sendTag int, body payload, src, recvTag int) (payload, Status) {
 	e.enter()
 	defer e.exit()
 	rreq := e.irecvInternal(c, src, recvTag)
-	sreq := e.isendInternal(c, dst, sendTag, data)
+	sreq := e.isendInternal(c, dst, sendTag, body)
 	e.waitInternal(sreq)
 	e.waitInternal(rreq)
-	return rreq.data, rreq.status
+	got, st := rreq.body, rreq.status
+	e.r.release(sreq)
+	e.r.release(rreq)
+	return got, st
 }

@@ -38,7 +38,8 @@ type Config struct {
 	// to deferral that Section 4.3 of the paper argues against. Every
 	// payload is copied into a per-destination sender log at send time (so
 	// zero-copy rendezvous is effectively disabled), charging the copy at
-	// MemCopyBW on the sender's critical path. The log is captured with the
+	// MemCopyBW on the sender's critical path. A size-only payload is
+	// logged as its length; the copy is charged all the same. The log is captured with the
 	// library state and replayed on restart (Job.ReplayLogs), which is what
 	// lets the uncoordinated protocol recover from per-rank checkpoints
 	// taken at different epochs. The log is garbage-collected at checkpoint
@@ -97,6 +98,49 @@ type Job struct {
 	cfg    Config
 	bus    *obs.Bus
 	ranks  []*Rank
+
+	// Delivered eager packets, reused by later sends. Every rank of a job
+	// runs on its kernel's goroutine, so the list needs no lock.
+	eagerFree []*wireEager
+}
+
+// newEager boxes an eager packet for the fabric, reusing a delivered one.
+func (j *Job) newEager(m wireEager) *wireEager {
+	var p *wireEager
+	if n := len(j.eagerFree); n > 0 {
+		p = j.eagerFree[n-1]
+		j.eagerFree = j.eagerFree[:n-1]
+	} else {
+		p = new(wireEager)
+	}
+	*p = m
+	return p
+}
+
+// freeEager recycles a packet once its arrival has been processed; nothing
+// refers to it after that.
+func (j *Job) freeEager(p *wireEager) {
+	*p = wireEager{}
+	j.eagerFree = append(j.eagerFree, p)
+}
+
+// newRequest returns a zeroed request, reusing a released one.
+func (r *Rank) newRequest() *Request {
+	n := len(r.freeReqs)
+	if n == 0 {
+		return new(Request)
+	}
+	req := r.freeReqs[n-1]
+	r.freeReqs = r.freeReqs[:n-1]
+	return req
+}
+
+// release recycles a completed request that the blocking call which made it
+// never handed to the application; no queue, table or event refers to a
+// completed request.
+func (r *Rank) release(req *Request) {
+	*req = Request{}
+	r.freeReqs = append(r.freeReqs, req)
 }
 
 // SetObs attaches an observability bus (nil detaches). Protocol decisions —
@@ -105,9 +149,23 @@ type Job struct {
 // bus's registry accumulates library counters.
 func (j *Job) SetObs(b *obs.Bus) { j.bus = b }
 
-// emit records an mpi-layer instant on rank r's track.
-func (r *Rank) emit(what, detail string, arg int64) {
-	r.job.bus.Emit(obs.Event{At: r.job.k.Now(), Rank: r.world, Layer: obs.LayerMPI,
+// emit records an mpi-layer instant on rank r's track. The detail text is
+// formatted from format and args only when a sink will read it, so with
+// tracing off an emit site costs a pointer check and no allocation.
+func (r *Rank) emit(what string, arg int64, format string, args ...int64) {
+	b := r.job.bus
+	if !b.HasSinks() {
+		return
+	}
+	var detail string
+	if format != "" {
+		vals := make([]any, len(args))
+		for i, a := range args {
+			vals[i] = a
+		}
+		detail = fmt.Sprintf(format, vals...)
+	}
+	b.Emit(obs.Event{At: r.job.k.Now(), Rank: r.world, Layer: obs.LayerMPI,
 		Type: obs.Instant, What: what, Detail: detail, Arg: arg})
 }
 
@@ -127,17 +185,23 @@ func NewJob(k *sim.Kernel, fabric *ib.Fabric, cfg Config, n int) (*Job, error) {
 			return nil, fmt.Errorf("mpi: registering rank %d: %w", i, err)
 		}
 		r := &Rank{
-			job:       j,
-			world:     i,
-			ep:        ep,
-			sendReqs:  make(map[uint64]*Request),
-			recvReqs:  make(map[uint64]*Request),
-			outbox:    make(map[int][]outItem),
-			trafficTo: make(map[int]int64),
-			sendSeqTo: make(map[int]int64),
-			recvSeqOf: make(map[int]int64),
-			msgLog:    make(map[int][]logEntry),
-			logFloor:  make(map[int]int64),
+			job:   j,
+			world: i,
+			ep:    ep,
+			// Park reasons are formatted once here, not on every blocking
+			// wait: they name the rank in traces and in the kernel's
+			// deadlock diagnostic.
+			waitReason:    fmt.Sprintf("MPI wait (rank %d)", i),
+			waitanyReason: fmt.Sprintf("MPI waitany (rank %d)", i),
+			probeReason:   fmt.Sprintf("MPI probe (rank %d)", i),
+			sendReqs:      make(map[uint64]*Request),
+			recvReqs:      make(map[uint64]*Request),
+			outbox:        make(map[int][]outItem),
+			trafficTo:     make(map[int]int64),
+			sendSeqTo:     make(map[int]int64),
+			recvSeqOf:     make(map[int]int64),
+			msgLog:        make(map[int][]logEntry),
+			logFloor:      make(map[int]int64),
 		}
 		r.ep.OnWork = r.onWork
 		r.ep.OnMessage = r.onMessage
@@ -230,6 +294,9 @@ type Rank struct {
 	finished   bool
 	finishedAt sim.Time
 
+	// Why the application process parks in Wait, Waitany and Probe.
+	waitReason, waitanyReason, probeReason string
+
 	// Progress engine state.
 	inMPI        bool
 	helperOn     bool
@@ -241,7 +308,8 @@ type Rank struct {
 	sendReqs   map[uint64]*Request // pending rendezvous sends by id
 	recvReqs   map[uint64]*Request // rendezvous receives awaiting data by id
 	posted     []*Request          // posted receive queue (FIFO)
-	unexpected []*inMsg            // unexpected message queue (FIFO)
+	unexpected []inMsg             // unexpected message queue (FIFO)
+	freeReqs   []*Request          // completed internal requests, reused
 
 	// Send path.
 	outbox    map[int][]outItem // per-destination deferred packets
@@ -394,7 +462,7 @@ func (r *Rank) helperTickFire() {
 	}
 	r.stats.HelperTicks++
 	r.job.bus.Metrics().Counter(obs.LayerMPI, "helper_ticks").Inc()
-	r.emit("helper-tick", "", 0)
+	r.emit("helper-tick", 0, "")
 	if !r.inMPI {
 		r.progressNow()
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -614,6 +615,9 @@ func TestDeadlockDiagnosis(t *testing.T) {
 	err := k.Run()
 	if err == nil {
 		t.Fatal("expected deadlock")
+	}
+	if !strings.Contains(err.Error(), "MPI wait (rank 0)") {
+		t.Fatalf("deadlock diagnostic does not name the waiting rank: %v", err)
 	}
 }
 

@@ -133,11 +133,9 @@ func (j *Job) ReplayLogs() (int, error) {
 				}
 				have = le.Seq
 				d.recvSeqOf[src] = have
-				data := make([]byte, len(le.Data))
-				copy(data, le.Data)
-				d.unexpected = append(d.unexpected, &inMsg{
+				d.unexpected = append(d.unexpected, inMsg{
 					comm: le.Comm, srcComm: le.SrcComm, srcWorld: src,
-					tag: le.Tag, eager: true, data: data,
+					tag: le.Tag, eager: true, body: le.Body.clone(),
 				})
 				injected++
 			}

@@ -140,7 +140,7 @@ func TestTrimLogCopiesLiveSuffix(t *testing.T) {
 	_, j := newJobCfg(t, 2, loggingConfig())
 	r := j.Rank(0)
 	for seq := int64(1); seq <= 10; seq++ {
-		r.appendLog(1, logEntry{Seq: seq, Data: make([]byte, 8)})
+		r.appendLog(1, logEntry{Seq: seq, Body: bytesPayload(make([]byte, 8))})
 	}
 	r.trimLog(1, 6)
 	got := r.msgLog[1]

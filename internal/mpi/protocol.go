@@ -15,6 +15,53 @@ const (
 	dataHdrSize  = 32
 )
 
+// payload is a message body: its length, and its bytes only when some
+// receiver reads them. data == nil means the message is size-only — the
+// simulator needs only the length to model its timing, so a size-only
+// message costs no allocation at send, in the eager copy, in deferral, in
+// the sender log or at replay. Every wire size, protocol decision and
+// counter derives from size, never from len(data), so a size-only message
+// and the same message carrying size real bytes are indistinguishable in
+// simulated time.
+type payload struct {
+	size int64
+	data []byte
+}
+
+// bytesPayload wraps caller bytes (nil is a zero-length size-only body).
+func bytesPayload(b []byte) payload { return payload{size: int64(len(b)), data: b} }
+
+// sizeOnly is the body of a size-only n-byte message.
+func sizeOnly(n int64) payload {
+	if n < 0 {
+		//lint:allow-panic a negative message length is an application bug; real MPI aborts
+		panic(fmt.Sprintf("mpi: negative message size %d", n))
+	}
+	return payload{size: n}
+}
+
+// clone copies real bytes into a fresh buffer — the eager communication
+// buffer, the sender-log copy; a size-only body has nothing to copy.
+func (p payload) clone() payload {
+	if p.data != nil {
+		buf := make([]byte, len(p.data))
+		copy(buf, p.data)
+		p.data = buf
+	}
+	return p
+}
+
+// bytes returns the body as bytes, materializing a size-only body as size
+// zero bytes. Library-state capture uses it, so a snapshot's bytes — and
+// with them its modelled size and storage timing — do not depend on
+// whether the application carried real bytes.
+func (p payload) bytes() []byte {
+	if p.data == nil && p.size > 0 {
+		return make([]byte, p.size)
+	}
+	return p.data
+}
+
 // Wire payload types carried by the fabric.
 type (
 	// wireEager carries a small message's payload with its match envelope.
@@ -28,7 +75,7 @@ type (
 		srcComm int // sender's comm rank
 		tag     int
 		seq     int64
-		data    []byte
+		body    payload
 	}
 	// wireRTS announces a rendezvous send. seq is as in wireEager.
 	wireRTS struct {
@@ -47,7 +94,7 @@ type (
 	// wireData is the zero-copy bulk transfer (the RDMA write).
 	wireData struct {
 		recvID uint64
-		data   []byte
+		body   payload
 	}
 )
 
@@ -58,9 +105,8 @@ type inMsg struct {
 	srcWorld int
 	tag      int
 	eager    bool
-	data     []byte // eager payload
-	size     int64  // rendezvous announced size
-	sendID   uint64 // rendezvous sender request id
+	body     payload // eager payload, or a rendezvous's announced size
+	sendID   uint64  // rendezvous sender request id
 }
 
 // outKind classifies a deferred packet for buffering statistics.
@@ -75,10 +121,10 @@ const (
 // outItem is a packet bound for dst, possibly deferred by connection state
 // or a checkpoint gate.
 type outItem struct {
-	kind    outKind
-	size    int64
-	payload any
-	onTx    func(txEnd sim.Time) // sender-side completion for zero-copy data
+	kind outKind
+	size int64                // wire size: header plus body size
+	pkt  any                  // wireEager, wireRTS, wireCTS or wireData
+	onTx func(txEnd sim.Time) // sender-side completion for zero-copy data
 }
 
 // post sends a packet toward world rank dst, deferring it in the outbox when
@@ -100,7 +146,7 @@ func (r *Rank) trySend(dst int, it outItem) bool {
 	if r.hooks != nil && !r.hooks.SendAllowed(dst) {
 		return false
 	}
-	err := r.ep.Send(dst, it.size, it.payload)
+	err := r.ep.Send(dst, it.size, it.pkt)
 	switch err {
 	case nil:
 		if it.onTx != nil {
@@ -144,16 +190,16 @@ func (r *Rank) deferItem(dst int, it outItem) {
 	m := r.job.bus.Metrics()
 	switch it.kind {
 	case outEager:
-		n := int64(len(it.payload.(wireEager).data))
+		n := it.pkt.(*wireEager).body.size
 		r.stats.MsgsBuffered++
 		r.stats.BytesBuffered += n
 		m.Counter(obs.LayerMPI, "msgs_buffered").Inc()
 		m.Counter(obs.LayerMPI, "bytes_buffered").Add(n)
-		r.emit("buffer-msg", fmt.Sprintf("dst=%d", dst), n)
+		r.emit("buffer-msg", n, "dst=%d", int64(dst))
 	default:
 		r.stats.ReqsBuffered++
 		m.Counter(obs.LayerMPI, "reqs_buffered").Inc()
-		r.emit("buffer-req", fmt.Sprintf("dst=%d", dst), it.size)
+		r.emit("buffer-req", it.size, "dst=%d", int64(dst))
 	}
 }
 
@@ -162,7 +208,7 @@ func (r *Rank) deferItem(dst int, it outItem) {
 func (r *Rank) drainOutbox(dst int) {
 	q := r.outbox[dst]
 	if len(q) > 0 {
-		r.emit("outbox-drain", fmt.Sprintf("dst=%d", dst), int64(len(q)))
+		r.emit("outbox-drain", int64(len(q)), "dst=%d", int64(dst))
 	}
 	for len(q) > 0 {
 		if !r.trySend(dst, q[0]) {
@@ -184,8 +230,9 @@ func (r *Rank) onMessage(src int, size int64, payload any) {
 		r.DeliverHook(src)
 	}
 	switch m := payload.(type) {
-	case wireEager:
-		r.arriveEager(src, m)
+	case *wireEager:
+		r.arriveEager(src, *m)
+		r.job.freeEager(m)
 	case wireRTS:
 		r.arriveRTS(src, m)
 	case wireCTS:
@@ -211,7 +258,7 @@ func (r *Rank) noteSeq(srcWorld int, seq int64) (dup bool) {
 	if seq <= r.recvSeqOf[srcWorld] {
 		r.stats.DupsDiscarded++
 		r.job.bus.Metrics().Counter(obs.LayerMPI, "dups_discarded").Inc()
-		r.emit("dup-drop", fmt.Sprintf("src=%d seq=%d", srcWorld, seq), seq)
+		r.emit("dup-drop", seq, "src=%d seq=%d", int64(srcWorld), seq)
 		return true
 	}
 	r.recvSeqOf[srcWorld] = seq
@@ -222,12 +269,12 @@ func (r *Rank) arriveEager(srcWorld int, m wireEager) {
 	if r.noteSeq(srcWorld, m.seq) {
 		return
 	}
-	msg := &inMsg{comm: m.comm, srcComm: m.srcComm, srcWorld: srcWorld,
-		tag: m.tag, eager: true, data: m.data}
-	if req := r.matchPosted(msg); req != nil {
+	msg := inMsg{comm: m.comm, srcComm: m.srcComm, srcWorld: srcWorld,
+		tag: m.tag, eager: true, body: m.body}
+	if req := r.matchPosted(&msg); req != nil {
 		r.job.bus.Metrics().Counter(obs.LayerMPI, "eager_matched").Inc()
-		r.emit("match-eager", fmt.Sprintf("src=%d tag=%d", msg.srcComm, msg.tag), int64(len(m.data)))
-		r.deliver(req, msg)
+		r.emit("match-eager", m.body.size, "src=%d tag=%d", int64(msg.srcComm), int64(msg.tag))
+		r.deliver(req, &msg)
 		return
 	}
 	r.addUnexpected(msg)
@@ -242,16 +289,16 @@ func (r *Rank) arriveRTS(srcWorld int, m wireRTS) {
 		id := r.reqSeq
 		r.recvReqs[id] = &Request{r: r, discard: true}
 		r.post(srcWorld, outItem{
-			kind:    outCtl,
-			size:    ctlPktSize,
-			payload: wireCTS{sendID: m.sendID, recvID: id},
+			kind: outCtl,
+			size: ctlPktSize,
+			pkt:  wireCTS{sendID: m.sendID, recvID: id},
 		})
 		return
 	}
-	msg := &inMsg{comm: m.comm, srcComm: m.srcComm, srcWorld: srcWorld,
-		tag: m.tag, size: m.size, sendID: m.sendID}
-	if req := r.matchPosted(msg); req != nil {
-		r.grantRendezvous(req, msg)
+	msg := inMsg{comm: m.comm, srcComm: m.srcComm, srcWorld: srcWorld,
+		tag: m.tag, body: payload{size: m.size}, sendID: m.sendID}
+	if req := r.matchPosted(&msg); req != nil {
+		r.grantRendezvous(req, &msg)
 		return
 	}
 	r.addUnexpected(msg)
@@ -259,7 +306,7 @@ func (r *Rank) arriveRTS(srcWorld int, m wireRTS) {
 
 // addUnexpected queues an unmatched arrival and wakes the application in
 // case it is blocked in a Probe.
-func (r *Rank) addUnexpected(msg *inMsg) {
+func (r *Rank) addUnexpected(msg inMsg) {
 	r.unexpected = append(r.unexpected, msg)
 	if r.proc != nil {
 		r.proc.Unpark()
@@ -269,16 +316,16 @@ func (r *Rank) addUnexpected(msg *inMsg) {
 // grantRendezvous registers the receive and sends CTS back to the sender.
 func (r *Rank) grantRendezvous(req *Request, msg *inMsg) {
 	r.job.bus.Metrics().Counter(obs.LayerMPI, "rendezvous_granted").Inc()
-	r.emit("rdv-grant", fmt.Sprintf("src=%d tag=%d", msg.srcComm, msg.tag), msg.size)
-	req.status = Status{Source: msg.srcComm, Tag: msg.tag, Size: msg.size}
+	r.emit("rdv-grant", msg.body.size, "src=%d tag=%d", int64(msg.srcComm), int64(msg.tag))
+	req.status = Status{Source: msg.srcComm, Tag: msg.tag, Size: msg.body.size}
 	r.reqSeq++
 	id := r.reqSeq
 	req.recvID = id
 	r.recvReqs[id] = req
 	r.post(msg.srcWorld, outItem{
-		kind:    outCtl,
-		size:    ctlPktSize,
-		payload: wireCTS{sendID: msg.sendID, recvID: id},
+		kind: outCtl,
+		size: ctlPktSize,
+		pkt:  wireCTS{sendID: msg.sendID, recvID: id},
 	})
 }
 
@@ -291,9 +338,9 @@ func (r *Rank) arriveCTS(m wireCTS) {
 	}
 	delete(r.sendReqs, m.sendID)
 	r.post(req.peerWorld, outItem{
-		kind:    outData,
-		size:    dataHdrSize + int64(len(req.data)),
-		payload: wireData{recvID: m.recvID, data: req.data},
+		kind: outData,
+		size: dataHdrSize + req.body.size,
+		pkt:  wireData{recvID: m.recvID, body: req.body},
 		// Zero-copy: the sender's buffer is reusable at local transmit
 		// completion.
 		onTx: func(txEnd sim.Time) {
@@ -313,7 +360,7 @@ func (r *Rank) arriveData(m wireData) {
 	if req.discard {
 		return // duplicate rendezvous re-send: the payload is dropped
 	}
-	req.data = m.data
+	req.body = m.body
 	r.completeReq(req)
 }
 
@@ -331,20 +378,23 @@ func (r *Rank) matchPosted(msg *inMsg) *Request {
 
 // matchUnexpected finds and removes the first unexpected message matching a
 // newly posted receive (FIFO over arrival order).
-func (r *Rank) matchUnexpected(req *Request) *inMsg {
-	for i, msg := range r.unexpected {
-		if req.matches(msg) {
-			r.unexpected = append(r.unexpected[:i], r.unexpected[i+1:]...)
-			return msg
+func (r *Rank) matchUnexpected(req *Request) (inMsg, bool) {
+	for i := range r.unexpected {
+		if msg := r.unexpected[i]; req.matches(&msg) {
+			last := len(r.unexpected) - 1
+			copy(r.unexpected[i:], r.unexpected[i+1:])
+			r.unexpected[last] = inMsg{} // the vacated slot must not pin a payload
+			r.unexpected = r.unexpected[:last]
+			return msg, true
 		}
 	}
-	return nil
+	return inMsg{}, false
 }
 
 // deliver completes a receive with an eager payload.
 func (r *Rank) deliver(req *Request, msg *inMsg) {
-	req.data = msg.data
-	req.status = Status{Source: msg.srcComm, Tag: msg.tag, Size: int64(len(msg.data))}
+	req.body = msg.body
+	req.status = Status{Source: msg.srcComm, Tag: msg.tag, Size: msg.body.size}
 	r.completeReq(req)
 }
 

@@ -74,7 +74,7 @@ type logEntry struct {
 	SrcComm int
 	Tag     int
 	Seq     int64
-	Data    []byte
+	Body    payload
 }
 
 // seqEntry serializes one peer's sequence counter (maps are gob-encoded in
@@ -139,7 +139,7 @@ func (r *Rank) CaptureLibState() ([]byte, error) {
 			return nil, fmt.Errorf("mpi: rank %d has an unexpected rendezvous at capture", r.world)
 		}
 		st.Unexpected = append(st.Unexpected, savedMsg{
-			Comm: m.comm, SrcComm: m.srcComm, SrcWorld: m.srcWorld, Tag: m.tag, Data: m.data,
+			Comm: m.comm, SrcComm: m.srcComm, SrcWorld: m.srcWorld, Tag: m.tag, Data: m.body.bytes(),
 		})
 	}
 	// Serialize outboxes in sorted destination order: map iteration order
@@ -153,12 +153,12 @@ func (r *Rank) CaptureLibState() ([]byte, error) {
 	sort.Ints(dsts)
 	for _, dst := range dsts {
 		for _, it := range r.outbox[dst] {
-			we, ok := it.payload.(wireEager)
+			we, ok := it.pkt.(*wireEager)
 			if !ok {
 				return nil, fmt.Errorf("mpi: rank %d has a deferred non-eager packet at capture", r.world)
 			}
 			st.Outbox = append(st.Outbox, savedOut{
-				Dst: dst, Comm: we.comm, SrcComm: we.srcComm, Tag: we.tag, Data: we.data,
+				Dst: dst, Comm: we.comm, SrcComm: we.srcComm, Tag: we.tag, Data: we.body.bytes(),
 			})
 		}
 	}
@@ -179,17 +179,17 @@ func (r *Rank) captureLibStateV2() ([]byte, error) {
 			return nil, fmt.Errorf("mpi: rank %d has an unexpected rendezvous at capture", r.world)
 		}
 		st.Unexpected = append(st.Unexpected, savedMsg{
-			Comm: m.comm, SrcComm: m.srcComm, SrcWorld: m.srcWorld, Tag: m.tag, Data: m.data,
+			Comm: m.comm, SrcComm: m.srcComm, SrcWorld: m.srcWorld, Tag: m.tag, Data: m.body.bytes(),
 		})
 	}
 	for _, dst := range sortedPeers(r.outbox) {
 		for _, it := range r.outbox[dst] {
-			we, ok := it.payload.(wireEager)
+			we, ok := it.pkt.(*wireEager)
 			if !ok {
 				return nil, fmt.Errorf("mpi: rank %d has a deferred non-eager packet at capture", r.world)
 			}
 			st.Outbox = append(st.Outbox, savedOutV2{
-				Dst: dst, Comm: we.comm, SrcComm: we.srcComm, Tag: we.tag, Seq: we.seq, Data: we.data,
+				Dst: dst, Comm: we.comm, SrcComm: we.srcComm, Tag: we.tag, Seq: we.seq, Data: we.body.bytes(),
 			})
 		}
 	}
@@ -199,7 +199,7 @@ func (r *Rank) captureLibStateV2() ([]byte, error) {
 	for _, dst := range sortedPeers(r.msgLog) {
 		for _, le := range r.msgLog[dst] {
 			st.Log = append(st.Log, savedLog{
-				Dst: dst, Comm: le.Comm, SrcComm: le.SrcComm, Tag: le.Tag, Seq: le.Seq, Data: le.Data,
+				Dst: dst, Comm: le.Comm, SrcComm: le.SrcComm, Tag: le.Tag, Seq: le.Seq, Data: le.Body.bytes(),
 			})
 		}
 	}
@@ -256,16 +256,16 @@ func (r *Rank) RestoreLibState(data []byte) error {
 	}
 	r.commIndex = 0 // the restarted body re-creates its communicators
 	for _, m := range st.Unexpected {
-		r.unexpected = append(r.unexpected, &inMsg{
+		r.unexpected = append(r.unexpected, inMsg{
 			comm: m.Comm, srcComm: m.SrcComm, srcWorld: m.SrcWorld,
-			tag: m.Tag, eager: true, data: m.Data,
+			tag: m.Tag, eager: true, body: bytesPayload(m.Data),
 		})
 	}
 	for _, o := range st.Outbox {
 		r.post(o.Dst, outItem{
-			kind:    outEager,
-			size:    eagerHdrSize + int64(len(o.Data)),
-			payload: wireEager{comm: o.Comm, srcComm: o.SrcComm, tag: o.Tag, data: o.Data},
+			kind: outEager,
+			size: eagerHdrSize + int64(len(o.Data)),
+			pkt:  &wireEager{comm: o.Comm, srcComm: o.SrcComm, tag: o.Tag, body: bytesPayload(o.Data)},
 		})
 	}
 	return nil
@@ -285,9 +285,9 @@ func (r *Rank) restoreLibStateV2(data []byte) error {
 	}
 	r.commIndex = 0 // the restarted body re-creates its communicators
 	for _, m := range st.Unexpected {
-		r.unexpected = append(r.unexpected, &inMsg{
+		r.unexpected = append(r.unexpected, inMsg{
 			comm: m.Comm, srcComm: m.SrcComm, srcWorld: m.SrcWorld,
-			tag: m.Tag, eager: true, data: m.Data,
+			tag: m.Tag, eager: true, body: bytesPayload(m.Data),
 		})
 	}
 	for _, se := range st.SendSeq {
@@ -301,14 +301,14 @@ func (r *Rank) restoreLibStateV2(data []byte) error {
 	}
 	for _, le := range st.Log {
 		r.msgLog[le.Dst] = append(r.msgLog[le.Dst],
-			logEntry{Comm: le.Comm, SrcComm: le.SrcComm, Tag: le.Tag, Seq: le.Seq, Data: le.Data})
+			logEntry{Comm: le.Comm, SrcComm: le.SrcComm, Tag: le.Tag, Seq: le.Seq, Body: bytesPayload(le.Data)})
 	}
 	r.noteLogLive(len(st.Log))
 	for _, o := range st.Outbox {
 		r.post(o.Dst, outItem{
-			kind:    outEager,
-			size:    eagerHdrSize + int64(len(o.Data)),
-			payload: wireEager{comm: o.Comm, srcComm: o.SrcComm, tag: o.Tag, seq: o.Seq, data: o.Data},
+			kind: outEager,
+			size: eagerHdrSize + int64(len(o.Data)),
+			pkt:  &wireEager{comm: o.Comm, srcComm: o.SrcComm, tag: o.Tag, seq: o.Seq, body: bytesPayload(o.Data)},
 		})
 	}
 	return nil

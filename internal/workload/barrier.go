@@ -20,7 +20,7 @@ type BarrierPhases struct {
 	Chunk         sim.Time // computation per iteration
 	BarrierEvery  sim.Time // accumulated compute between global barriers
 	Phases        int      // number of barrier-terminated phases
-	MsgBytes      int
+	MsgBytes      int      // exchange size; size-only, never read
 	FootprintMB   int64
 }
 
@@ -47,14 +47,13 @@ func (w BarrierPhases) Launch(j *mpi.Job) (Instance, error) {
 			if len(gr) > 1 {
 				c = e.NewComm(gr)
 			}
-			payload := make([]byte, msg)
 			for ph := 0; ph < w.Phases; ph++ {
 				for it := 0; it < itersPerPhase; it++ {
 					e.Compute(w.Chunk)
 					if c != nil {
 						n := c.Size()
 						me := c.Rank()
-						e.Sendrecv(c, (me+1)%n, 1, payload, (me-1+n)%n, 1)
+						e.SendrecvN(c, (me+1)%n, 1, int64(msg), (me-1+n)%n, 1)
 					}
 				}
 				e.Barrier(world)

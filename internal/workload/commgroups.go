@@ -17,7 +17,7 @@ type CommGroups struct {
 	CommGroupSize int      // communication group size (16/8/4/2/1 in Fig. 3)
 	Iters         int      // iterations to run
 	Chunk         sim.Time // computation per iteration
-	MsgBytes      int      // exchange payload (eager-sized by default)
+	MsgBytes      int      // exchange size (eager-sized by default); size-only, never read
 	FootprintMB   int64    // per-process memory footprint (paper: 180 MB)
 }
 
@@ -39,7 +39,6 @@ func (w CommGroups) Launch(j *mpi.Job) (Instance, error) {
 			if len(gr) > 1 {
 				c = e.NewComm(gr)
 			}
-			payload := make([]byte, msg)
 			for it := 0; it < w.Iters; it++ {
 				e.Compute(w.Chunk)
 				if c != nil {
@@ -47,7 +46,7 @@ func (w CommGroups) Launch(j *mpi.Job) (Instance, error) {
 					// blocking synchronization among its members.
 					n := c.Size()
 					me := c.Rank()
-					e.Sendrecv(c, (me+1)%n, 1, payload, (me-1+n)%n, 1)
+					e.SendrecvN(c, (me+1)%n, 1, int64(msg), (me-1+n)%n, 1)
 				}
 			}
 		})
