@@ -192,7 +192,7 @@ func BenchmarkModelVsSim(b *testing.B) {
 		cfg.CR.LocalSetup = 0
 		w := workload.CommGroups{N: 32, CommGroupSize: 8, Iters: 600,
 			Chunk: 100 * sim.Millisecond, FootprintMB: 180}
-		res, err := harness.Measure(cfg, w, 10*sim.Second)
+		res, err := harness.NewRunner(1).Measure(cfg, w, 10*sim.Second)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -421,7 +421,7 @@ func main() {
 		return
 	}
 
-	res, err := harness.MeasureObserved(cfg, w, ats[0], bus)
+	res, err := harness.NewRunner(1).MeasureObserved(cfg, w, ats[0], bus)
 	if err != nil {
 		fail("%v", err)
 	}

@@ -34,7 +34,8 @@ func main() {
 	// different group sizes.
 	w := hpl.PaperTimed()
 	cfg := harness.PaperCluster(w.P * w.Q)
-	base, err := harness.Baseline(cfg, w)
+	r := harness.NewRunner(0)
+	base, err := r.Baseline(cfg, w)
 	if err != nil {
 		panic(err)
 	}
@@ -43,7 +44,7 @@ func main() {
 	for _, gs := range []int{0, 16, 8, 4, 2, 1} {
 		run := cfg
 		run.CR.GroupSize = gs
-		res, err := harness.MeasureWithBaseline(run, w, 50*sim.Second, base)
+		res, err := r.Measure(run, w, 50*sim.Second)
 		if err != nil {
 			panic(err)
 		}

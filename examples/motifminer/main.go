@@ -45,7 +45,8 @@ func main() {
 	// the paper's headline 70% reduction for group size 4).
 	w := motif.PaperTimed()
 	cfg := harness.PaperCluster(w.N)
-	base, err := harness.Baseline(cfg, w)
+	r := harness.NewRunner(0)
+	base, err := r.Baseline(cfg, w)
 	if err != nil {
 		panic(err)
 	}
@@ -54,7 +55,7 @@ func main() {
 	for _, gs := range []int{0, 16, 8, 4, 2, 1} {
 		run := cfg
 		run.CR.GroupSize = gs
-		res, err := harness.MeasureWithBaseline(run, w, 30*sim.Second, base)
+		res, err := r.Measure(run, w, 30*sim.Second)
 		if err != nil {
 			panic(err)
 		}

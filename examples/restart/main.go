@@ -1,13 +1,16 @@
-// Restart example: run a ring application with group-based checkpointing,
-// kill the whole job mid-run, restart every rank from the last complete
-// global checkpoint (taken group by group, so the snapshots were written at
-// different wall-clock times), and verify the recovered execution produces
-// exactly the failure-free results.
+// Restart example: run a ring application with group-based checkpointing
+// through harness.RunScenario, lose the whole job to a scripted crash at 3s,
+// restart every rank from the protocol's recovery line (the latest committed
+// epoch, taken group by group, so the snapshots were written at different
+// wall-clock times), and verify the finished execution produces exactly the
+// failure-free results.
 package main
 
 import (
 	"fmt"
+	"os"
 
+	"gbcr/internal/fault"
 	"gbcr/internal/harness"
 	"gbcr/internal/sim"
 	"gbcr/internal/workload"
@@ -35,18 +38,22 @@ func main() {
 	}
 	fmt.Printf("failure-free run finished at %v\n", ref.Job.FinishTime())
 
-	// Checkpoint at 1s, lose the whole job at 3s, restart from storage.
-	fr, err := harness.RunWithFailure(cfg, w,
-		[]sim.Time{sim.Second}, 3*sim.Second)
+	// Checkpoint every second, lose the whole job at 3s, restart from
+	// storage and run to completion.
+	scn, err := fault.Parse("crash@3s")
 	if err != nil {
 		panic(err)
 	}
-	inst := fr.RestartInst.(*workload.RingInstance)
-	fmt.Printf("job killed at %v; restarted from global checkpoint epoch %d\n",
-		fr.FailedAt, fr.Epoch)
-	fmt.Printf("snapshot read-back from storage took %v\n", fr.ReadbackTime)
-	fmt.Printf("restarted run finished after %v more simulated time\n", fr.RestartTime)
+	res, err := harness.RunScenario(cfg, w, scn, sim.Second, nil)
+	if err != nil {
+		panic(err)
+	}
+	fmt.Printf("job killed at 3s; %d of %d ranks restarted from snapshots in central storage\n",
+		res.RecoveredCentral, n)
+	fmt.Printf("failures survived: %d, checkpoints committed: %d\n", res.Failures, res.Checkpoints)
+	fmt.Printf("wall time to finish, lost work and read-back included: %v\n", res.Wall)
 
+	inst := res.FinalInst.(*workload.RingInstance)
 	ok := true
 	for me := 0; me < n; me++ {
 		if inst.Sums[me] != refInst.Sums[me] {
@@ -54,8 +61,9 @@ func main() {
 			fmt.Printf("  rank %d MISMATCH: %d vs %d\n", me, inst.Sums[me], refInst.Sums[me])
 		}
 	}
-	if ok {
-		fmt.Println("all ranks' results identical to the failure-free run: the")
-		fmt.Println("staggered group-by-group snapshots form a consistent recovery line")
+	if !ok {
+		os.Exit(1)
 	}
+	fmt.Println("all ranks' results identical to the failure-free run: the")
+	fmt.Println("staggered group-by-group snapshots form a consistent recovery line")
 }

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"gbcr/internal/mpi"
 	"gbcr/internal/obs"
 	"gbcr/internal/sim"
 )
@@ -108,5 +109,47 @@ func TestPhaseHookObservesProtocolPhases(t *testing.T) {
 				t.Fatalf("rank %d never reported phase %q", r, phase)
 			}
 		}
+	}
+}
+
+// TestFinishedRankAbortRetryWritesOnce: a rank whose body already returned
+// checkpoints inline, driven by its connection events. When the cycle aborts
+// before that rank writes, only the retried cycle may drive its checkpoint:
+// a step left over from the aborted cycle would write a second epoch-1
+// snapshot for the rank and fail the run.
+func TestFinishedRankAbortRetryWritesOnce(t *testing.T) {
+	const n = 4
+	cfg := DefaultConfig()
+	cfg.GroupSize = 2
+	cfg.Polled = true
+	cfg.DefaultFootprint = 20 * testMB
+	c := newCluster(t, n, cfg)
+	polledLoop := func(e *mpi.Env) {
+		for i := 0; i < 40; i++ {
+			e.Compute(100 * sim.Millisecond)
+			e.MaybeCheckpoint()
+		}
+	}
+	// Rank 3 leaves a connection to rank 2 behind, so its inline checkpoint
+	// tears one down, then finishes long before the request.
+	c.j.Launch(3, func(e *mpi.Env) {
+		e.Send(e.World(), 2, 0, []byte{1})
+		e.Compute(100 * sim.Millisecond)
+	})
+	c.j.Launch(2, func(e *mpi.Env) {
+		e.Recv(e.World(), 3, 0)
+		polledLoop(e)
+	})
+	c.j.Launch(0, polledLoop)
+	c.j.Launch(1, polledLoop)
+	c.co.ScheduleCheckpoint(sim.Second)
+	c.k.At(1300*sim.Millisecond, func() { c.st.SetAvailability(0) })
+	c.k.At(2000*sim.Millisecond, func() { c.st.SetAvailability(1) })
+	runSim(t, c.k)
+	if c.co.Aborts() == 0 {
+		t.Fatal("outage mid-cycle caused no abort")
+	}
+	if !c.co.Snapshots().Complete(1) {
+		t.Fatal("epoch 1 never committed")
 	}
 }

@@ -86,10 +86,14 @@ func (c *Controller) Rank() *mpi.Rank { return c.rank }
 func (c *Controller) ConnMeta() int64 { return int64(c.epoch) }
 
 // onConnEvent wakes the process during checkpoint teardown so it can
-// re-evaluate connection states.
+// re-evaluate connection states, and drives a finished rank's inline
+// checkpoint, which has no process to wake.
 func (c *Controller) onConnEvent(peer int) {
 	if c.inCkpt && c.rank.Proc() != nil {
 		c.rank.Proc().Unpark()
+	}
+	if c.finishedStep != nil {
+		c.finishedStep()
 	}
 }
 
@@ -550,12 +554,8 @@ func (c *Controller) incrementalSize(full int64) int64 {
 	if dirtyBW <= 0 {
 		dirtyBW = 20 << 20
 	}
-	floor := c.co.cfg.IncrementalFloor
-	if floor <= 0 {
-		floor = 0.05
-	}
 	elapsed := (c.co.k.Now() - c.lastCkptAt).Seconds()
-	dirty := int64(floor*float64(full) + dirtyBW*elapsed)
+	dirty := int64(incrementalFloor*float64(full) + dirtyBW*elapsed)
 	if dirty > full {
 		return full
 	}
@@ -571,8 +571,8 @@ func (c *Controller) checkpointFinishedRank() {
 	c.inCkpt = true
 	c.sendCo(msgReady{cycle: c.cycle, rank: c.rank.World()})
 	// Proceed on msgGo by polling conn states event-driven: disconnect now
-	// and re-check on each connection event.
-	var tryFinish func()
+	// and re-check on each connection event (onConnEvent). The step belongs
+	// to this cycle only: an abort or the cycle's end clears finishedStep.
 	writing := false
 	step := func() {
 		if !c.goFlag || writing {
@@ -602,13 +602,8 @@ func (c *Controller) checkpointFinishedRank() {
 			c.writeFinishedSnapshot(&rec)
 		})
 	}
-	tryFinish = step
-	// Hook connection events and the go flag to drive the steps.
-	prevUp, prevDown := c.rank.ConnUpHook, c.rank.ConnDownHook
-	c.rank.ConnUpHook = func(peer int) { prevUp(peer); tryFinish() }
-	c.rank.ConnDownHook = func(peer int) { prevDown(peer); tryFinish() }
-	c.finishedStep = tryFinish
-	tryFinish()
+	c.finishedStep = step
+	step()
 }
 
 // writeFinishedSnapshot completes a finished rank's inline checkpoint.
@@ -735,7 +730,7 @@ func (c *Controller) uncoordSafePoint(e *mpi.Env) {
 			return
 		}
 		c.emit(obs.Instant, "write-failed", err.Error())
-		p.Sleep(c.co.cfg.writeRetryBackoff(attempts))
+		p.Sleep(writeRetryBackoff(attempts))
 	}
 	rec.WriteEnd = k.Now()
 	c.emit(obs.End, "ckpt-write", "")
@@ -819,7 +814,7 @@ func (c *Controller) writeUncoordFinishedSnapshot(rec *CkptRecord) {
 					return
 				}
 				c.emit(obs.Instant, "write-failed", werr.Error())
-				k.After(c.co.cfg.writeRetryBackoff(attempts), attempt)
+				k.After(writeRetryBackoff(attempts), attempt)
 				return
 			}
 			if c.cycle != cycle || !c.cycleActive {

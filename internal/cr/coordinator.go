@@ -427,7 +427,7 @@ func (co *Coordinator) onWriteFailed(m msgWriteFailed) {
 			target, co.cycleRetries))
 		return
 	}
-	backoff := co.cfg.writeRetryBackoff(co.cycleRetries)
+	backoff := writeRetryBackoff(co.cycleRetries)
 	co.emit("cycle-retry", fmt.Sprintf("epoch %d attempt %d in %v", target, co.cycleRetries+1, backoff))
 	co.k.After(backoff, co.RequestCheckpoint)
 }

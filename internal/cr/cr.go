@@ -77,10 +77,6 @@ type Config struct {
 	// DirtyBW is the rate at which a running process dirties memory
 	// (bytes per second of execution). Zero means 20 MB/s.
 	DirtyBW float64
-	// IncrementalFloor is the minimum fraction of the full footprint an
-	// incremental snapshot writes (page-table metadata and always-hot
-	// pages). Zero means 0.05.
-	IncrementalFloor float64
 	// Staged enables two-phase checkpointing: snapshots land on node-local
 	// disk first (fast, unshared) and drain to central storage in the
 	// background. Section 2.1 argues against it — new large clusters are
@@ -93,48 +89,32 @@ type Config struct {
 	// LocalDiskBW is the node-local disk bandwidth in bytes/second used by
 	// staged checkpoints. Zero means 60 MB/s (a 2007-era SATA disk).
 	LocalDiskBW float64
-	// RetryBackoff is the initial delay before retrying a checkpoint cycle
-	// aborted by a member's write failure (storage outage mid-cycle). The
-	// delay doubles per consecutive abort, capped at RetryBackoffCap. Zero
-	// means 100 ms.
-	RetryBackoff sim.Time
-	// RetryBackoffCap caps the exponential retry backoff. Zero means
-	// 16×RetryBackoff.
-	RetryBackoffCap sim.Time
 	// MaxCycleRetries caps consecutive aborted cycles before the coordinator
 	// declares the storage system unusable and fails the run. Zero means 8.
 	MaxCycleRetries int
 }
 
-// retryBackoff resolves the initial cycle-retry delay default.
-func (cfg Config) retryBackoff() sim.Time {
-	if cfg.RetryBackoff > 0 {
-		return cfg.RetryBackoff
-	}
-	return 100 * sim.Millisecond
-}
-
-// retryBackoffCap resolves the retry backoff ceiling default.
-func (cfg Config) retryBackoffCap() sim.Time {
-	if cfg.RetryBackoffCap > 0 {
-		return cfg.RetryBackoffCap
-	}
-	return 16 * cfg.retryBackoff()
-}
+const (
+	// retryBackoff is the initial delay before retrying a checkpoint cycle
+	// aborted by a member's write failure (storage outage mid-cycle). The
+	// delay doubles per consecutive abort, capped at retryBackoffCap.
+	retryBackoff    = 100 * sim.Millisecond
+	retryBackoffCap = 16 * retryBackoff
+	// incrementalFloor is the minimum fraction of the full footprint an
+	// incremental snapshot writes (page-table metadata and always-hot
+	// pages).
+	incrementalFloor = 0.05
+)
 
 // writeRetryBackoff returns the capped exponential backoff before the
 // attempt-th retry of a failed snapshot write (cycle-wide abort-retry for the
 // blocking protocols, per-rank local retry for the uncoordinated one).
-func (cfg Config) writeRetryBackoff(attempt int) sim.Time {
-	backoff := cfg.retryBackoff()
-	ceiling := cfg.retryBackoffCap()
-	for i := 1; i < attempt && backoff < ceiling; i++ {
+func writeRetryBackoff(attempt int) sim.Time {
+	backoff := retryBackoff
+	for i := 1; i < attempt && backoff < retryBackoffCap; i++ {
 		backoff *= 2
 	}
-	if backoff > ceiling {
-		backoff = ceiling
-	}
-	return backoff
+	return min(backoff, retryBackoffCap)
 }
 
 // maxCycleRetries resolves the consecutive-abort cap default.

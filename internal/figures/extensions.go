@@ -253,7 +253,7 @@ func (g *Generator) ExtensionFaultRecovery() (*Table, error) {
 		cfg := harness.PaperCluster(microN)
 		cfg.CR.GroupSize = groupSizes[ri]
 		cfg.CR.LocalSetup = 100 * sim.Millisecond
-		res, err := harness.RunWithPeriodicCheckpoints(cfg, w, intervals[ci], sim.Minute, 11)
+		res, err := harness.RunScenario(cfg, w, fault.Scenario{MTBF: sim.Minute, Seed: 11}, intervals[ci], nil)
 		if err != nil {
 			return err
 		}

@@ -438,7 +438,7 @@ func TestDynamicFormationRecoversHPLRows(t *testing.T) {
 	cfg := harness.PaperCluster(w.P * w.Q)
 	cfg.CR.GroupSize = 4
 	cfg.CR.Dynamic = true
-	res, err := harness.Measure(cfg, w, 100*sim.Second)
+	res, err := harness.NewRunner(1).Measure(cfg, w, 100*sim.Second)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,7 +21,7 @@ func Example() {
 		N: 8, CommGroupSize: 2, Iters: 100,
 		Chunk: 100 * sim.Millisecond, FootprintMB: 100,
 	}
-	res, err := harness.Measure(cfg, w, 2*sim.Second)
+	res, err := harness.NewRunner(0).Measure(cfg, w, 2*sim.Second)
 	if err != nil {
 		fmt.Println("measure failed:", err)
 		return

@@ -29,7 +29,7 @@ func goldenCycle(t *testing.T, groupSize int) (trace, report []byte) {
 		Chunk: 50 * sim.Millisecond, FootprintMB: 20}
 	var buf bytes.Buffer
 	js := obs.NewJSONL(&buf)
-	res, err := MeasureObserved(cfg, w, 1*sim.Second, obs.NewBus(js))
+	res, err := NewRunner(1).MeasureObserved(cfg, w, 1*sim.Second, obs.NewBus(js))
 	if err != nil {
 		t.Fatal(err)
 	}

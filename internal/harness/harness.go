@@ -4,12 +4,13 @@
 // the Effective Checkpoint Delay (Section 5) along with the Individual and
 // Total Checkpoint Times from the cycle report.
 //
-// Two execution engines are provided. The free functions (Baseline, Measure,
-// Sweep) run serially and are the reference implementation; Runner schedules
-// independent measurement cells on a worker pool and memoizes baselines, so
-// large sweep matrices regenerate in parallel with results bit-identical to
-// the serial path. All entry points return errors instead of panicking, so
-// the stack is usable as an embedded service component.
+// Runner is the one way to measure: it schedules independent measurement
+// cells on a worker pool and memoizes baselines, and a width-1 Runner is the
+// serial reference. RunScenario is the one way to restart: it runs a job to
+// completion under periodic checkpoints and injected faults, restarting from
+// the protocol's recovery line after every loss. All entry points return
+// errors instead of panicking, so the stack is usable as an embedded service
+// component.
 package harness
 
 import (
@@ -207,9 +208,9 @@ func (r Result) String() string {
 		r.Workload, r.GroupSize, r.IssuedAt, r.EffectiveDelay(), r.MaxIndividual(), r.Total())
 }
 
-// Baseline runs the workload with no checkpoint and returns its completion
-// time.
-func Baseline(cfg ClusterConfig, w workload.Workload) (sim.Time, error) {
+// baseline runs the workload with no checkpoint and returns its completion
+// time. Runner.Baseline memoizes it.
+func baseline(cfg ClusterConfig, w workload.Workload) (sim.Time, error) {
 	c, err := NewCluster(cfg)
 	if err != nil {
 		return 0, err
@@ -223,15 +224,9 @@ func Baseline(cfg ClusterConfig, w workload.Workload) (sim.Time, error) {
 	return c.Job.FinishTime(), nil
 }
 
-// MeasureWithBaseline runs the workload with one checkpoint at issuedAt,
-// using a previously measured baseline (so sweeps don't re-run it).
-func MeasureWithBaseline(cfg ClusterConfig, w workload.Workload, issuedAt, baseline sim.Time) (Result, error) {
-	return measureWithBaselineObs(cfg, w, issuedAt, baseline, nil)
-}
-
-// measureWithBaselineObs is MeasureWithBaseline with an optional bus attached
-// to the checkpointed run.
-func measureWithBaselineObs(cfg ClusterConfig, w workload.Workload, issuedAt, baseline sim.Time, bus *obs.Bus) (Result, error) {
+// checkpointed runs the workload with one checkpoint at issuedAt, observed
+// by bus (nil for none), and reports it against a measured baseline.
+func checkpointed(cfg ClusterConfig, w workload.Workload, issuedAt, base sim.Time, bus *obs.Bus) (Result, error) {
 	if issuedAt < 0 {
 		return Result{}, fmt.Errorf("harness: checkpoint issuance time %v is negative", issuedAt)
 	}
@@ -259,57 +254,8 @@ func measureWithBaselineObs(cfg ClusterConfig, w workload.Workload, issuedAt, ba
 		Workload:  w.Name(),
 		GroupSize: cfg.CR.GroupSize,
 		IssuedAt:  issuedAt,
-		Baseline:  baseline,
+		Baseline:  base,
 		WithCkpt:  c.Job.FinishTime(),
 		Report:    reps[0],
 	}, nil
-}
-
-// Measure runs baseline and checkpointed executions and reports the delay
-// metrics.
-func Measure(cfg ClusterConfig, w workload.Workload, issuedAt sim.Time) (Result, error) {
-	base, err := Baseline(cfg, w)
-	if err != nil {
-		return Result{}, err
-	}
-	return MeasureWithBaseline(cfg, w, issuedAt, base)
-}
-
-// MeasureObserved is Measure with an observability bus attached to the
-// checkpointed run (bus may be nil): events from every layer flow to the
-// bus's sinks and its registry accumulates the run's metrics. The baseline
-// run is not observed, so the exported timeline covers exactly the
-// checkpointed execution.
-func MeasureObserved(cfg ClusterConfig, w workload.Workload, issuedAt sim.Time, bus *obs.Bus) (Result, error) {
-	base, err := Baseline(cfg, w)
-	if err != nil {
-		return Result{}, err
-	}
-	return measureWithBaselineObs(cfg, w, issuedAt, base, bus)
-}
-
-// Sweep measures the effective delay across group sizes and issuance times,
-// serially and on the calling goroutine. groupSizes uses 0 for the regular
-// protocol ("All"). The result is indexed [groupSize][issuedAt] in the given
-// orders. It is the reference implementation for Runner.Sweep, which runs
-// the same matrix concurrently with bit-identical results.
-func Sweep(cfg ClusterConfig, w workload.Workload, groupSizes []int, times []sim.Time) ([][]Result, error) {
-	base, err := Baseline(cfg, w)
-	if err != nil {
-		return nil, err
-	}
-	out := make([][]Result, len(groupSizes))
-	for gi, gs := range groupSizes {
-		out[gi] = make([]Result, len(times))
-		for ti, at := range times {
-			c := cfg
-			c.CR.GroupSize = gs
-			res, err := MeasureWithBaseline(c, w, at, base)
-			if err != nil {
-				return nil, fmt.Errorf("harness: sweep cell group=%d at=%v: %w", gs, at, err)
-			}
-			out[gi][ti] = res
-		}
-	}
-	return out, nil
 }

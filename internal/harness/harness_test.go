@@ -2,11 +2,14 @@ package harness
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 
+	"gbcr/internal/fault"
 	"gbcr/internal/obs"
 	"gbcr/internal/sim"
 	"gbcr/internal/storage"
@@ -23,11 +26,34 @@ func smallCluster(n int) ClusterConfig {
 	return cfg
 }
 
+// crashRestart runs w to completion with a checkpoint every interval and
+// one scripted whole-job crash at crashAt. It checks that the job was lost
+// exactly once and that every rank resumed from a snapshot read back from
+// central storage; res.FinalInst is the instance of the attempt that
+// finished.
+func crashRestart(cfg ClusterConfig, w workload.Restartable, interval, crashAt sim.Time, bus *obs.Bus) (AvailabilityResult, error) {
+	scn, err := fault.Parse("crash@" + time.Duration(crashAt).String())
+	if err != nil {
+		return AvailabilityResult{}, err
+	}
+	res, err := RunScenario(cfg, w, scn, interval, bus)
+	if err != nil {
+		return res, err
+	}
+	if res.Failures != 1 {
+		return res, fmt.Errorf("failures = %d, want 1 (the crash at %v)", res.Failures, crashAt)
+	}
+	if res.RecoveredCentral != cfg.N {
+		return res, fmt.Errorf("%d of %d ranks restarted from a snapshot, want all", res.RecoveredCentral, cfg.N)
+	}
+	return res, nil
+}
+
 func TestMeasureCommGroups(t *testing.T) {
 	cfg := smallCluster(8)
 	w := workload.CommGroups{N: 8, CommGroupSize: 4, Iters: 100,
 		Chunk: 100 * sim.Millisecond, FootprintMB: 50}
-	res, err := Measure(cfg, w, 2*sim.Second)
+	res, err := NewRunner(1).Measure(cfg, w, 2*sim.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +76,7 @@ func TestSweepGroupSizeHalving(t *testing.T) {
 	cfg := smallCluster(8)
 	w := workload.CommGroups{N: 8, CommGroupSize: 2, Iters: 120,
 		Chunk: 100 * sim.Millisecond, FootprintMB: 100}
-	res, err := Sweep(cfg, w, []int{0, 4, 2}, []sim.Time{3 * sim.Second})
+	res, err := NewRunner(0).Sweep(cfg, w, []int{0, 4, 2}, []sim.Time{3 * sim.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,21 +105,17 @@ func TestRestartRingEquivalence(t *testing.T) {
 		cfg.CR.GroupSize = gs
 		cfg.CR.DefaultFootprint = 10 << 20
 		w := workload.Ring{N: n, Iters: iters, Chunk: 50 * sim.Millisecond, FootprintMB: 10}
-		fr, err := RunWithFailure(cfg, w,
-			[]sim.Time{800 * sim.Millisecond}, 1700*sim.Millisecond)
+		res, err := crashRestart(cfg, w, 800*sim.Millisecond, 1700*sim.Millisecond, nil)
 		if err != nil {
 			t.Fatalf("groupsize=%d: %v", gs, err)
 		}
-		inst := fr.RestartInst.(*workload.RingInstance)
+		inst := res.FinalInst.(*workload.RingInstance)
 		for me := 0; me < n; me++ {
 			want := workload.ExpectedRingSum(n, iters, me)
 			if inst.Sums[me] != want {
 				t.Fatalf("groupsize=%d rank %d: restarted sum %d, want %d (recovery line inconsistent)",
 					gs, me, inst.Sums[me], want)
 			}
-		}
-		if fr.Epoch != 1 {
-			t.Fatalf("groupsize=%d: restarted from epoch %d", gs, fr.Epoch)
 		}
 	}
 }
@@ -116,11 +138,11 @@ func TestRestartAllgatherEquivalence(t *testing.T) {
 	if err := ref.K.Run(); err != nil {
 		t.Fatal(err)
 	}
-	fr, err := RunWithFailure(cfg, w, []sim.Time{700 * sim.Millisecond}, 1500*sim.Millisecond)
+	res, err := crashRestart(cfg, w, 700*sim.Millisecond, 1500*sim.Millisecond, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	inst := fr.RestartInst.(*workload.AllgatherInstance)
+	inst := res.FinalInst.(*workload.AllgatherInstance)
 	for me := 0; me < n; me++ {
 		if inst.Hashes[me] != refInst.Hashes[me] {
 			t.Fatalf("rank %d: restarted hash %x, reference %x", me, inst.Hashes[me], refInst.Hashes[me])
@@ -129,34 +151,69 @@ func TestRestartAllgatherEquivalence(t *testing.T) {
 }
 
 func TestRestartSecondCheckpointPreferred(t *testing.T) {
-	// With two completed checkpoints, restart uses the later one.
+	// With two committed epochs before the crash, the restart resumes from
+	// the later one.
 	const n, iters = 4, 80
+	const interval, crashAt = sim.Second, 3200 * sim.Millisecond
 	cfg := smallCluster(n)
 	cfg.CR.GroupSize = 2
 	cfg.CR.DefaultFootprint = 5 << 20
 	w := workload.Ring{N: n, Iters: iters, Chunk: 50 * sim.Millisecond, FootprintMB: 5}
-	fr, err := RunWithFailure(cfg, w,
-		[]sim.Time{500 * sim.Millisecond, 2 * sim.Second}, 3500*sim.Millisecond)
+	base, err := NewRunner(1).Baseline(cfg, w)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fr.Epoch != 2 {
-		t.Fatalf("restarted from epoch %d, want 2", fr.Epoch)
+	mem := &obs.MemorySink{}
+	res, err := crashRestart(cfg, w, interval, crashAt, obs.NewBus(mem))
+	if err != nil {
+		t.Fatal(err)
 	}
-	inst := fr.RestartInst.(*workload.RingInstance)
+	inst := res.FinalInst.(*workload.RingInstance)
 	for me := 0; me < n; me++ {
 		if inst.Sums[me] != workload.ExpectedRingSum(n, iters, me) {
 			t.Fatalf("rank %d corrupted after epoch-2 restart", me)
 		}
 	}
+	// The first attempt's events precede the crash on the shared timeline.
+	commits := 0
+	for _, e := range mem.Events() {
+		if e.Layer == obs.LayerFault && e.What == "crash" {
+			break
+		}
+		if e.Layer == obs.LayerCR && e.What == "cycle-done" {
+			commits++
+		}
+	}
+	if commits != 2 {
+		t.Fatalf("%d epochs committed before the crash, want 2", commits)
+	}
+	// Epoch 1 was taken at the first request, after at most interval of
+	// work, so a restart from it redoes at least base-interval; resuming
+	// from epoch 2 is the only way to finish sooner.
+	if after := res.Wall - crashAt; after >= base-interval {
+		t.Fatalf("restarted attempt took %v of a %v job: it did not resume from epoch 2", after, base)
+	}
 }
 
-func TestRestartWithoutCheckpointFails(t *testing.T) {
-	cfg := smallCluster(2)
-	w := workload.Ring{N: 2, Iters: 50, Chunk: 50 * sim.Millisecond, FootprintMB: 5}
-	_, err := RunWithFailure(cfg, w, nil, sim.Second)
-	if err == nil {
-		t.Fatal("expected an error when failing before any checkpoint")
+func TestRestartBeforeFirstCheckpointFromScratch(t *testing.T) {
+	// A crash before any epoch commits leaves no recovery line: the job
+	// restarts from scratch and still finishes with the failure-free results.
+	const n, iters = 2, 50
+	cfg := smallCluster(n)
+	w := workload.Ring{N: n, Iters: iters, Chunk: 50 * sim.Millisecond, FootprintMB: 5}
+	res, err := RunScenario(cfg, w, mustParse(t, "crash@1s"), 2*sim.Second, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Failures != 1 || res.RecoveredCentral != 0 {
+		t.Fatalf("failures = %d, ranks restored = %d; want 1 failure and a restart from scratch",
+			res.Failures, res.RecoveredCentral)
+	}
+	inst := res.FinalInst.(*workload.RingInstance)
+	for me := 0; me < n; me++ {
+		if want := workload.ExpectedRingSum(n, iters, me); inst.Sums[me] != want {
+			t.Fatalf("rank %d: sum %d after a restart from scratch, want %d", me, inst.Sums[me], want)
+		}
 	}
 }
 
@@ -192,11 +249,11 @@ func TestRestartStencilEquivalence(t *testing.T) {
 	if err := ref.K.Run(); err != nil {
 		t.Fatal(err)
 	}
-	fr, err := RunWithFailure(cfg, w, []sim.Time{600 * sim.Millisecond}, 1400*sim.Millisecond)
+	res, err := crashRestart(cfg, w, 600*sim.Millisecond, 1400*sim.Millisecond, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	inst := fr.RestartInst.(*workload.StencilInstance)
+	inst := res.FinalInst.(*workload.StencilInstance)
 	for me := 0; me < n; me++ {
 		if inst.Checksums[me] != refInst.Checksums[me] {
 			t.Fatalf("rank %d: restarted checksum %v, reference %v",
@@ -205,18 +262,19 @@ func TestRestartStencilEquivalence(t *testing.T) {
 	}
 }
 
-func TestRunWithPeriodicCheckpointsUnderFailures(t *testing.T) {
+func TestPeriodicCheckpointsUnderFailures(t *testing.T) {
 	const n = 4
 	cfg := smallCluster(n)
 	cfg.CR.GroupSize = 2
 	cfg.CR.DefaultFootprint = 5 << 20
 	w := workload.Ring{N: n, Iters: 150, Chunk: 20 * sim.Millisecond, FootprintMB: 5}
 	// Baseline without failures for reference.
-	base, err := Baseline(cfg, w)
+	base, err := NewRunner(1).Baseline(cfg, w)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunWithPeriodicCheckpoints(cfg, w, 600*sim.Millisecond, 1500*sim.Millisecond, 7)
+	scn := fault.Scenario{MTBF: 1500 * sim.Millisecond, Seed: 7}
+	res, err := RunScenario(cfg, w, scn, 600*sim.Millisecond, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +303,8 @@ func TestPeriodicCheckpointsNoFailures(t *testing.T) {
 	cfg.CR.DefaultFootprint = 2 << 20
 	w := workload.Ring{N: n, Iters: 60, Chunk: 20 * sim.Millisecond, FootprintMB: 2}
 	// Effectively infinite MTBF: no failures, several checkpoints.
-	res, err := RunWithPeriodicCheckpoints(cfg, w, 300*sim.Millisecond, 1000*sim.Hour, 3)
+	scn := fault.Scenario{MTBF: 1000 * sim.Hour, Seed: 3}
+	res, err := RunScenario(cfg, w, scn, 300*sim.Millisecond, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,11 +327,11 @@ func TestRestartRealMinerEquivalence(t *testing.T) {
 	cfg := smallCluster(n)
 	cfg.CR.GroupSize = 2
 	want := m.MineSerial()
-	fr, err := RunWithFailure(cfg, w, []sim.Time{600 * sim.Millisecond}, 1100*sim.Millisecond)
+	res, err := crashRestart(cfg, w, 600*sim.Millisecond, 1100*sim.Millisecond, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	inst := fr.RestartInst.(*motif.ResumableInstance)
+	inst := res.FinalInst.(*motif.ResumableInstance)
 	if len(inst.Frequent) != len(want) {
 		t.Fatalf("restarted miner found %d patterns, serial %d", len(inst.Frequent), len(want))
 	}
@@ -291,7 +350,7 @@ func TestMeasureObservedRecordsTimeline(t *testing.T) {
 		Chunk: 100 * sim.Millisecond, FootprintMB: 20}
 	mem := &obs.MemorySink{}
 	bus := obs.NewBus(mem)
-	res, err := MeasureObserved(cfg, w, 2*sim.Second, bus)
+	res, err := NewRunner(1).MeasureObserved(cfg, w, 2*sim.Second, bus)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,29 +387,30 @@ func TestMeasureObservedRecordsTimeline(t *testing.T) {
 }
 
 // Property: restart equivalence holds across random group sizes, checkpoint
-// times, failure times, and protocol options.
+// intervals, crash times, and protocol options.
 func TestQuickRestartEquivalence(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := rng.Intn(5) + 2
-		iters := rng.Intn(40) + 40
 		cfg := smallCluster(n)
 		cfg.Seed = seed
 		cfg.CR.GroupSize = rng.Intn(n + 1)
 		cfg.CR.HelperEnabled = rng.Intn(3) != 0
 		cfg.CR.DefaultFootprint = int64(rng.Intn(15)+1) << 20
-		w := workload.Ring{N: n, Iters: iters,
-			Chunk: sim.Time(rng.Intn(40)+20) * sim.Millisecond, FootprintMB: 8}
-		ckptAt := sim.Time(rng.Intn(500)+300) * sim.Millisecond
-		// The failure must land after the cycle completes; the slowest
+		chunk := sim.Time(rng.Intn(40)+20) * sim.Millisecond
+		interval := sim.Time(rng.Intn(500)+300) * sim.Millisecond
+		// The crash must land after the first cycle completes; the slowest
 		// configuration (singleton groups) takes well under 2.2 s here.
-		failAt := ckptAt + sim.Time(rng.Intn(500)+2200)*sim.Millisecond
-		fr, err := RunWithFailure(cfg, w, []sim.Time{ckptAt}, failAt)
+		crashAt := interval + sim.Time(rng.Intn(500)+2200)*sim.Millisecond
+		// And the job must still be running when it lands.
+		iters := int(crashAt/chunk) + rng.Intn(40) + 1
+		w := workload.Ring{N: n, Iters: iters, Chunk: chunk, FootprintMB: 8}
+		res, err := crashRestart(cfg, w, interval, crashAt, nil)
 		if err != nil {
 			t.Logf("seed %d (n=%d gs=%d): %v", seed, n, cfg.CR.GroupSize, err)
 			return false
 		}
-		inst := fr.RestartInst.(*workload.RingInstance)
+		inst := res.FinalInst.(*workload.RingInstance)
 		for me := 0; me < n; me++ {
 			if inst.Sums[me] != workload.ExpectedRingSum(n, iters, me) {
 				t.Logf("seed %d rank %d mismatch", seed, me)
@@ -376,7 +436,7 @@ func observedRun(t *testing.T) (jsonl, chrome, metrics []byte) {
 	js := obs.NewJSONL(&jb)
 	ch := obs.NewChrome()
 	bus := obs.NewBus(js, ch)
-	if _, err := MeasureObserved(cfg, w, 2*sim.Second, bus); err != nil {
+	if _, err := NewRunner(1).MeasureObserved(cfg, w, 2*sim.Second, bus); err != nil {
 		t.Fatal(err)
 	}
 	if js.Err() != nil {

@@ -14,16 +14,17 @@ import (
 	"gbcr/internal/workload"
 )
 
-// Runner is the concurrent experiment engine. Every measurement cell —
-// one (config, workload, issuance time) simulation — is an independent,
-// deterministic, single-threaded run, so a sweep matrix can be scheduled
-// across a bounded worker pool with results bit-identical to the serial
-// Sweep. The Runner also memoizes baselines: a failure-free run never
-// schedules a checkpoint, so its completion time depends only on the
-// canonicalized cluster configuration and the workload identity, and sweeps
-// or figure regeneration never re-run an identical baseline. It is the only
-// sweep executor: Run returns results in cell order, and RunTraced also
-// merges per-cell traces in cell order.
+// Runner is the experiment engine and the only way to measure a checkpoint's
+// delay. Every measurement cell — one (config, workload, issuance time)
+// simulation — is an independent, deterministic, single-threaded run, so a
+// sweep matrix can be scheduled across a bounded worker pool with results
+// bit-identical to a width-1 Runner, the serial reference. The Runner also
+// memoizes baselines: a failure-free run never schedules a checkpoint, so
+// its completion time depends only on the canonicalized cluster
+// configuration and the workload identity, and sweeps or figure
+// regeneration never re-run an identical baseline. It is the only sweep
+// executor: Run returns results in cell order, and RunTraced also merges
+// per-cell traces in cell order. Restart experiments go through RunScenario.
 //
 // A Runner is safe for concurrent use by multiple goroutines.
 type Runner struct {
@@ -110,22 +111,25 @@ func (r *Runner) Baseline(cfg ClusterConfig, w workload.Workload) (sim.Time, err
 		r.baselines[key] = e
 	}
 	r.mu.Unlock()
-	e.once.Do(func() { e.t, e.err = Baseline(cfg, w) })
+	e.once.Do(func() { e.t, e.err = baseline(cfg, w) })
 	return e.t, e.err
 }
 
 // Measure runs one checkpointed cell, taking the baseline from the cache.
 // With an aggregate installed, the cell's metrics are merged into it.
 func (r *Runner) Measure(cfg ClusterConfig, w workload.Workload, issuedAt sim.Time) (Result, error) {
-	return r.measure(Cell{Config: cfg, Workload: w, IssuedAt: issuedAt}, nil)
+	return r.MeasureObserved(cfg, w, issuedAt, nil)
 }
 
-// measure runs cell c with its baseline from the cache, observed by bus
-// (nil for none). With an aggregate installed the cell always runs on a bus
-// — a private one when the caller passes nil — and its metrics are merged
-// into the aggregate on success.
-func (r *Runner) measure(c Cell, bus *obs.Bus) (Result, error) {
-	base, err := r.Baseline(c.Config, c.Workload)
+// MeasureObserved is Measure with bus (nil for none) observing the
+// checkpointed run: events from every layer flow to the bus's sinks and its
+// registry accumulates the run's metrics. The baseline run is not observed,
+// so the exported timeline covers exactly the checkpointed execution. With
+// an aggregate installed the cell always runs on a bus — a private one when
+// the caller passes nil — and its metrics are merged into the aggregate on
+// success.
+func (r *Runner) MeasureObserved(cfg ClusterConfig, w workload.Workload, issuedAt sim.Time, bus *obs.Bus) (Result, error) {
+	base, err := r.Baseline(cfg, w)
 	if err != nil {
 		return Result{}, err
 	}
@@ -133,7 +137,7 @@ func (r *Runner) measure(c Cell, bus *obs.Bus) (Result, error) {
 	if agg != nil && bus == nil {
 		bus = obs.NewBus()
 	}
-	res, err := measureWithBaselineObs(c.Config, c.Workload, c.IssuedAt, base, bus)
+	res, err := checkpointed(cfg, w, issuedAt, base, bus)
 	if err != nil {
 		return res, err
 	}
@@ -206,6 +210,7 @@ func (r *Runner) RunTraced(cells []Cell, opt TraceOptions) (*TracedRun, error) {
 		run.chromes = make([]*obs.ChromeSink, len(cells))
 	}
 	err := r.ForEach(len(cells), func(i int) error {
+		c := cells[i]
 		var bus *obs.Bus
 		if opt.Trace || opt.JSONL || opt.Chrome {
 			bus = obs.NewBus()
@@ -223,12 +228,12 @@ func (r *Runner) RunTraced(cells []Cell, opt TraceOptions) (*TracedRun, error) {
 			// Chrome file is byte-identical at any worker count too.
 			run.chromes[i] = obs.NewChrome()
 			run.chromes[i].PID = i + 1
-			run.chromes[i].ProcessName = cells[i].label(i)
+			run.chromes[i].ProcessName = c.label(i)
 			bus.AddSink(run.chromes[i])
 		}
-		res, err := r.measure(cells[i], bus)
+		res, err := r.MeasureObserved(c.Config, c.Workload, c.IssuedAt, bus)
 		if err != nil {
-			return fmt.Errorf("%s: %w", cells[i].label(i), err)
+			return fmt.Errorf("%s: %w", c.label(i), err)
 		}
 		run.Results[i] = res
 		return nil
@@ -338,10 +343,10 @@ func protect(i int, fn func(i int) error) (err error) {
 }
 
 // Sweep measures the effective delay across group sizes and issuance times
-// concurrently. It is the parallel equivalent of the serial Sweep: same
-// matrix shape, bit-identical results, indexed [groupSize][issuedAt]. The
-// baseline is computed once up front so the fan-out starts with a warm
-// cache.
+// on the worker pool. groupSizes uses 0 for the regular protocol ("All").
+// The result is indexed [groupSize][issuedAt] in the given orders and is
+// bit-identical at any worker count. The baseline is computed once up front
+// so the fan-out starts with a warm cache.
 func (r *Runner) Sweep(cfg ClusterConfig, w workload.Workload, groupSizes []int, times []sim.Time) ([][]Result, error) {
 	if _, err := r.Baseline(cfg, w); err != nil {
 		return nil, err

@@ -26,10 +26,10 @@ func fig3Workload() workload.Workload {
 }
 
 // TestRunnerSweepMatchesSerial is the determinism contract on the paper's
-// two sweep matrices: the concurrent Runner must return results
-// bit-identical to the serial Sweep reference for the Figure 3 matrix
-// (CommGroups micro-benchmark across checkpoint group sizes) and the
-// Figure 5 matrix (HPL, 6 group sizes x 8 issuance times).
+// two sweep matrices: an 8-worker Runner must return results bit-identical
+// to the width-1 serial reference for the Figure 3 matrix (CommGroups
+// micro-benchmark across checkpoint group sizes) and the Figure 5 matrix
+// (HPL, 6 group sizes x 8 issuance times).
 func TestRunnerSweepMatchesSerial(t *testing.T) {
 	hplW := hpl.PaperTimed()
 	cases := []struct {
@@ -54,7 +54,7 @@ func TestRunnerSweepMatchesSerial(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			serial, err := Sweep(tc.cfg, tc.w, tc.groupSizes, tc.times)
+			serial, err := NewRunner(1).Sweep(tc.cfg, tc.w, tc.groupSizes, tc.times)
 			if err != nil {
 				t.Fatal(err)
 			}
